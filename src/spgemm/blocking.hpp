@@ -34,7 +34,7 @@ std::vector<BlockTask> make_block_tasks(const SparseMatrix& a,
 struct BlockedColumns {
   int row_begin = 0;
   /// entries[k] = entries of A(:, k) with row in [row_begin, row_end),
-  /// rebased; only columns listed in `nonempty` have entries.
+  /// rebased and sorted by row; empty when the column has none there.
   std::vector<std::vector<Entry>> entries;
 };
 BlockedColumns slice_rows(const SparseMatrix& a, int row_begin, int row_end);

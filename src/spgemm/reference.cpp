@@ -1,6 +1,6 @@
 #include "spgemm/reference.hpp"
 
-#include <tuple>
+#include <algorithm>
 
 #include "util/error.hpp"
 
@@ -10,10 +10,13 @@ SparseMatrix multiply_reference(const SparseMatrix& a, const SparseMatrix& b) {
   LIMS_CHECK(a.cols() == b.rows());
   std::vector<double> acc(static_cast<std::size_t>(a.rows()), 0.0);
   std::vector<int> marker(static_cast<std::size_t>(a.rows()), -1);
-  std::vector<std::tuple<int, int, double>> trips;
+  std::vector<int> col_ptr(static_cast<std::size_t>(b.cols()) + 1, 0);
+  std::vector<int> row_idx;
+  std::vector<double> values;
+  std::vector<int> touched;
 
   for (int j = 0; j < b.cols(); ++j) {
-    std::vector<int> touched;
+    touched.clear();
     for (int kb = b.col_begin(j); kb < b.col_end(j); ++kb) {
       const int k = b.row_index(kb);
       const double bv = b.value(kb);
@@ -27,10 +30,15 @@ SparseMatrix multiply_reference(const SparseMatrix& a, const SparseMatrix& b) {
         acc[static_cast<std::size_t>(i)] += a.value(ka) * bv;
       }
     }
-    for (int i : touched)
-      trips.emplace_back(i, j, acc[static_cast<std::size_t>(i)]);
+    std::sort(touched.begin(), touched.end());
+    for (int i : touched) {
+      row_idx.push_back(i);
+      values.push_back(acc[static_cast<std::size_t>(i)]);
+    }
+    col_ptr[static_cast<std::size_t>(j) + 1] = static_cast<int>(row_idx.size());
   }
-  return SparseMatrix::from_triplets(a.rows(), b.cols(), std::move(trips));
+  return SparseMatrix::from_csc(a.rows(), b.cols(), std::move(col_ptr),
+                                std::move(row_idx), std::move(values));
 }
 
 }  // namespace limsynth::spgemm

@@ -49,6 +49,46 @@ SparseMatrix SparseMatrix::from_triplets(
   return m;
 }
 
+SparseMatrix SparseMatrix::from_csc(int rows, int cols,
+                                    std::vector<int> col_ptr,
+                                    std::vector<int> row_idx,
+                                    std::vector<double> values) {
+  LIMS_CHECK(rows >= 0 && cols >= 0);
+  LIMS_CHECK_MSG(col_ptr.size() == static_cast<std::size_t>(cols) + 1,
+                 "col_ptr has " << col_ptr.size() << " offsets for " << cols
+                                << " columns");
+  LIMS_CHECK_MSG(row_idx.size() == values.size(),
+                 row_idx.size() << " row indices for " << values.size()
+                                << " values");
+  LIMS_CHECK_MSG(col_ptr.front() == 0 &&
+                     static_cast<std::size_t>(col_ptr.back()) == row_idx.size(),
+                 "col_ptr spans [" << col_ptr.front() << ", " << col_ptr.back()
+                                   << "] for " << row_idx.size() << " entries");
+  for (int c = 0; c < cols; ++c)
+    LIMS_CHECK_MSG(col_ptr[static_cast<std::size_t>(c)] <=
+                       col_ptr[static_cast<std::size_t>(c) + 1],
+                   "col_ptr decreases at column " << c);
+  for (int c = 0; c < cols; ++c) {
+    int prev = -1;
+    for (int k = col_ptr[static_cast<std::size_t>(c)];
+         k < col_ptr[static_cast<std::size_t>(c) + 1]; ++k) {
+      const int r = row_idx[static_cast<std::size_t>(k)];
+      LIMS_CHECK_MSG(r >= 0 && r < rows, "row " << r << " in column " << c
+                                                  << " out of bounds");
+      LIMS_CHECK_MSG(r > prev, "rows in column " << c
+                                                 << " not strictly increasing");
+      prev = r;
+    }
+  }
+  SparseMatrix m;
+  m.rows_ = rows;
+  m.cols_ = cols;
+  m.col_ptr_ = std::move(col_ptr);
+  m.row_idx_ = std::move(row_idx);
+  m.values_ = std::move(values);
+  return m;
+}
+
 std::vector<Entry> SparseMatrix::column(int col) const {
   LIMS_CHECK(col >= 0 && col < cols_);
   std::vector<Entry> out;

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 namespace limsynth::spgemm {
@@ -22,6 +23,13 @@ class SparseMatrix {
   /// Builds from (row, col, value) triplets; duplicates are summed.
   static SparseMatrix from_triplets(
       int rows, int cols, std::vector<std::tuple<int, int, double>> triplets);
+
+  /// Adopts CSC arrays as they are: `col_ptr` has cols+1 non-decreasing
+  /// offsets from 0 to nnz, and the rows of each column are strictly
+  /// increasing and within [0, rows). Anything else throws Error.
+  static SparseMatrix from_csc(int rows, int cols, std::vector<int> col_ptr,
+                               std::vector<int> row_idx,
+                               std::vector<double> values);
 
   int rows() const { return rows_; }
   int cols() const { return cols_; }

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <tuple>
+
 #include "spgemm/blocking.hpp"
 #include "spgemm/generate.hpp"
 #include "spgemm/reference.hpp"
@@ -7,6 +11,9 @@
 #include "util/rng.hpp"
 
 namespace limsynth::spgemm {
+
+SparseMatrix header_only_triplets();  // spgemm_header_only.cpp
+
 namespace {
 
 SparseMatrix small_fixed() {
@@ -35,6 +42,93 @@ TEST(Sparse, TripletsSortedAndSummed) {
 TEST(Sparse, BoundsChecked) {
   EXPECT_THROW(SparseMatrix::from_triplets(2, 2, {{2, 0, 1.0}}), Error);
   EXPECT_THROW(SparseMatrix::from_triplets(2, 2, {{0, -1, 1.0}}), Error);
+}
+
+TEST(Sparse, HeaderStandsAlone) {
+  const SparseMatrix m = header_only_triplets();
+  EXPECT_EQ(m.nnz(), 2);
+  EXPECT_EQ(m.col_nnz(2), 1);
+}
+
+// Random duplicate-free triplets in random order.
+std::vector<std::tuple<int, int, double>> unique_triplets(int rows, int cols,
+                                                          int count, Rng& rng) {
+  std::set<std::pair<int, int>> seen;
+  std::vector<std::tuple<int, int, double>> trips;
+  while (static_cast<int>(trips.size()) < count) {
+    const int r = static_cast<int>(rng.range(0, rows - 1));
+    const int c = static_cast<int>(rng.range(0, cols - 1));
+    if (seen.insert({r, c}).second)
+      trips.emplace_back(r, c, rng.uniform(-1.0, 1.0));
+  }
+  return trips;
+}
+
+// The same triplets as CSC arrays, built without from_triplets.
+SparseMatrix csc_of(int rows, int cols,
+                    std::vector<std::tuple<int, int, double>> trips) {
+  std::sort(trips.begin(), trips.end(), [](const auto& x, const auto& y) {
+    return std::tie(std::get<1>(x), std::get<0>(x)) <
+           std::tie(std::get<1>(y), std::get<0>(y));
+  });
+  std::vector<int> col_ptr(static_cast<std::size_t>(cols) + 1, 0);
+  std::vector<int> row_idx;
+  std::vector<double> values;
+  for (const auto& [r, c, v] : trips) {
+    ++col_ptr[static_cast<std::size_t>(c) + 1];
+    row_idx.push_back(r);
+    values.push_back(v);
+  }
+  for (std::size_t c = 0; c < static_cast<std::size_t>(cols); ++c)
+    col_ptr[c + 1] += col_ptr[c];
+  return SparseMatrix::from_csc(rows, cols, std::move(col_ptr),
+                                std::move(row_idx), std::move(values));
+}
+
+TEST(Sparse, FromCscEqualsFromTriplets) {
+  Rng rng(14);
+  for (const auto& [rows, cols, count] :
+       {std::tuple{1, 1, 1}, std::tuple{5, 9, 0}, std::tuple{40, 30, 300},
+        std::tuple{200, 7, 900}, std::tuple{3, 150, 200}}) {
+    const auto trips = unique_triplets(rows, cols, count, rng);
+    const SparseMatrix want = SparseMatrix::from_triplets(rows, cols, trips);
+    const SparseMatrix got = csc_of(rows, cols, trips);
+    EXPECT_EQ(got.rows(), rows);
+    EXPECT_EQ(got.cols(), cols);
+    EXPECT_TRUE(got.approx_equal(want, 0.0));
+  }
+}
+
+// from_csc must reject the arrays with a typed invalid-config error.
+void expect_rejected(int rows, int cols, std::vector<int> col_ptr,
+                     std::vector<int> row_idx, std::vector<double> values) {
+  try {
+    (void)SparseMatrix::from_csc(rows, cols, std::move(col_ptr),
+                                 std::move(row_idx), std::move(values));
+    ADD_FAILURE() << "from_csc accepted malformed arrays";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidConfig) << e.what();
+  }
+}
+
+TEST(Sparse, FromCscRejectsMalformedArrays) {
+  // Valid: [1 0; 0 2; 3 0] as 3x2.
+  EXPECT_EQ(SparseMatrix::from_csc(3, 2, {0, 2, 3}, {0, 2, 1}, {1, 3, 2}).nnz(),
+            3);
+  // Unsorted and duplicate rows within a column.
+  expect_rejected(3, 2, {0, 2, 3}, {2, 0, 1}, {3, 1, 2});
+  expect_rejected(3, 2, {0, 2, 3}, {1, 1, 1}, {3, 1, 2});
+  // Rows out of range.
+  expect_rejected(3, 2, {0, 2, 3}, {0, 3, 1}, {1, 3, 2});
+  expect_rejected(3, 2, {0, 2, 3}, {-1, 2, 1}, {1, 3, 2});
+  // Malformed col_ptr: wrong length, nonzero start, decreasing, wrong end.
+  expect_rejected(3, 2, {0, 3}, {0, 2, 1}, {1, 3, 2});
+  expect_rejected(3, 2, {1, 2, 3}, {0, 2, 1}, {1, 3, 2});
+  expect_rejected(3, 2, {0, 4, 3}, {0, 2, 1}, {1, 3, 2});
+  expect_rejected(3, 2, {0, 2, 2}, {0, 2, 1}, {1, 3, 2});
+  // Row and value arrays of different lengths; negative shape.
+  expect_rejected(3, 2, {0, 2, 3}, {0, 2, 1}, {1, 3});
+  expect_rejected(-1, 2, {0, 0, 0}, {}, {});
 }
 
 TEST(Sparse, StatsAndEquality) {
