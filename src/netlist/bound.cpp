@@ -102,23 +102,19 @@ BoundDesign::BoundDesign(const Netlist& nl, const liberty::Library& lib)
           pin_ids_.emplace(c.pin, static_cast<PinId>(pin_names_.size()));
       if (inserted) pin_names_.push_back(c.pin);
       bc.pin = it->second;
-      bc.is_output = Netlist::is_output_pin(c.pin);
+      // The cell's pin model is the only source of direction: a pin the
+      // library does not model can be neither loaded nor timed.
       base = base_of(c.pin);
       const auto sit = slots.find(base);
-      if (sit != slots.end() && sit->second.second == bc.is_output) {
-        bc.slot = static_cast<std::int16_t>(sit->second.first);
-        if (!bc.is_output) {
-          const liberty::PinModel& pm =
-              cell.inputs[static_cast<std::size_t>(bc.slot)];
-          bc.is_clock = pm.is_clock;
-          bc.cap = pm.cap;
-        }
-      } else {
-        // Unmodeled input pins cannot be loaded or timed — reject at bind
-        // time with the same error class compute_net_loads used to raise.
-        LIMS_CHECK_MSG(bc.is_output,
-                       "no pin " << c.pin << " on " << cell.name);
-        bc.slot = -1;
+      LIMS_CHECK_MSG(sit != slots.end(),
+                     "no pin " << c.pin << " on " << cell.name);
+      bc.slot = static_cast<std::int16_t>(sit->second.first);
+      bc.is_output = sit->second.second;
+      if (!bc.is_output) {
+        const liberty::PinModel& pm =
+            cell.inputs[static_cast<std::size_t>(bc.slot)];
+        bc.is_clock = pm.is_clock;
+        bc.cap = pm.cap;
       }
       conns_.push_back(bc);
       inst_pin_sorted_.emplace_back(bc.pin, bc.net);
@@ -155,6 +151,10 @@ BoundDesign::BoundDesign(const Netlist& nl, const liberty::Library& lib)
   // ------------------------------------------------------- connectivity
   net_driver_.assign(n_nets, SinkRef{-1, 0});
   net_sink_cap_.assign(n_nets, 0.0);
+  net_is_po_.assign(n_nets, 0);
+  for (const auto& p : nl.ports())
+    if (p.dir == PortDir::kOutput)
+      net_is_po_[static_cast<std::size_t>(p.net)] = 1;
   {
     std::vector<std::uint32_t> counts(n_nets, 0);
     for (const auto& bc : conns_)

@@ -58,29 +58,30 @@ class Span {
 
 /// One resolved connection: the pin string is gone, replaced by the
 /// interned PinId (full name, e.g. "DI[3]") and the slot of its base name
-/// in the cell's input or output pin-model list.
+/// in the cell's input or output pin-model list. Pin direction comes from
+/// that pin model, never from the pin's name.
 struct BoundConn {
   NetId net = kNoNet;
   PinId pin = kNoPin;
   /// Index into LibCell::inputs (is_output == false) or LibCell::outputs
-  /// (is_output == true); -1 when the cell models no such pin (possible
-  /// only for outputs — unmodeled inputs are rejected at bind time).
+  /// (is_output == true). Always valid: pins the cell does not model are
+  /// rejected at bind time.
   std::int16_t slot = -1;
   bool is_output = false;
   /// The pin-model is the cell's clock input.
   bool is_clock = false;
-  /// Input pin capacitance (F); 0 for outputs and unmodeled pins.
+  /// Input pin capacitance (F); 0 for outputs.
   double cap = 0.0;
 };
 
-/// Immutable bind of a Netlist against a Library. Const-shareable across
-/// threads once constructed.
+/// Immutable bind of a Netlist against a Library — the design's only
+/// connectivity index. Const-shareable across threads once constructed.
 class BoundDesign {
  public:
   /// Resolves every instance and connection. Throws Error(kInvalidConfig)
-  /// when an instance references a cell missing from `lib` or an input
-  /// conn references a pin the cell does not model. Both `nl` and `lib`
-  /// must outlive the binding.
+  /// when an instance references a cell missing from `lib` or a conn
+  /// references a pin the cell does not model. Both `nl` and `lib` must
+  /// outlive the binding.
   BoundDesign(const Netlist& nl, const liberty::Library& lib);
 
   const Netlist& netlist() const { return *nl_; }
@@ -180,6 +181,10 @@ class BoundDesign {
   double sink_cap(NetId net) const {
     return net_sink_cap_[static_cast<std::size_t>(net)];
   }
+  /// The net drives a primary output port.
+  bool is_po(NetId net) const {
+    return net_is_po_[static_cast<std::size_t>(net)] != 0;
+  }
 
   // ------------------------------------------------------- pin interning
   /// Id of a full pin name, or kNoPin when no conn in the design uses it.
@@ -229,6 +234,7 @@ class BoundDesign {
   std::vector<Range> net_sink_range_;
   std::vector<SinkRef> sink_refs_;
   std::vector<double> net_sink_cap_;
+  std::vector<char> net_is_po_;
 
   std::unordered_map<std::string, PinId> pin_ids_;
   std::vector<std::string> pin_names_;

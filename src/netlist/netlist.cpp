@@ -10,7 +10,6 @@ NetId Netlist::add_net(const std::string& name) {
   const NetId id = static_cast<NetId>(nets_.size());
   nets_.push_back(Net{name});
   net_index_.emplace(nets_.back().name, id);
-  index_valid_ = false;
   ++revision_;
   return id;
 }
@@ -49,7 +48,6 @@ InstId Netlist::add_instance(const std::string& name, const std::string& cell,
   const InstId id = static_cast<InstId>(instances_.size());
   instances_.push_back(Instance{name, cell, std::move(conns)});
   dead_.push_back(false);
-  index_valid_ = false;
   ++revision_;
   return id;
 }
@@ -57,13 +55,11 @@ InstId Netlist::add_instance(const std::string& name, const std::string& cell,
 void Netlist::remove_instance(InstId inst) {
   LIMS_CHECK(inst >= 0 && inst < static_cast<InstId>(instances_.size()));
   dead_[static_cast<std::size_t>(inst)] = true;
-  index_valid_ = false;
   ++revision_;
 }
 
 void Netlist::add_port(const std::string& name, PortDir dir, NetId net) {
   ports_.push_back(Port{name, dir, net});
-  index_valid_ = false;
   ++revision_;
 }
 
@@ -81,9 +77,8 @@ const Instance& Netlist::instance(InstId id) const {
 
 Instance& Netlist::instance(InstId id) {
   LIMS_CHECK(id >= 0 && id < static_cast<InstId>(instances_.size()));
-  // Handing out a mutable reference may change connectivity, so both the
-  // lazy index and any outstanding BoundDesign become suspect.
-  index_valid_ = false;
+  // Handing out a mutable reference may change connectivity, so any
+  // outstanding BoundDesign becomes suspect.
   ++revision_;
   return instances_[static_cast<std::size_t>(id)];
 }
@@ -96,54 +91,6 @@ const std::string& Netlist::net_name(NetId net) const {
 NetId Netlist::find_net(const std::string& name) const {
   const auto it = net_index_.find(name);
   return it == net_index_.end() ? kNoNet : it->second;
-}
-
-bool Netlist::is_output_pin(const std::string& pin) {
-  // Conventional output names, including indexed bus pins like DO[3].
-  const auto base_len = pin.find('[');
-  const std::string base =
-      base_len == std::string::npos ? pin : pin.substr(0, base_len);
-  return base == "Y" || base == "Q" || base == "DO" || base == "MATCH" ||
-         base == "GCK";
-}
-
-void Netlist::rebuild_index() const {
-  drivers_.assign(nets_.size(), PinRef{-1, ""});
-  sinks_.assign(nets_.size(), {});
-  for (std::size_t i = 0; i < instances_.size(); ++i) {
-    if (dead_[i]) continue;
-    for (const auto& c : instances_[i].conns) {
-      const auto net = static_cast<std::size_t>(c.net);
-      if (is_output_pin(c.pin)) {
-        drivers_[net] = PinRef{static_cast<InstId>(i), c.pin};
-      } else {
-        sinks_[net].push_back(PinRef{static_cast<InstId>(i), c.pin});
-      }
-    }
-  }
-  index_valid_ = true;
-}
-
-Netlist::PinRef Netlist::driver_of(NetId net) const {
-  if (!index_valid_) rebuild_index();
-  return drivers_[static_cast<std::size_t>(net)];
-}
-
-const std::vector<Netlist::PinRef>& Netlist::sinks_of(NetId net) const {
-  if (!index_valid_) rebuild_index();
-  return sinks_[static_cast<std::size_t>(net)];
-}
-
-bool Netlist::is_primary_input(NetId net) const {
-  for (const auto& p : ports_)
-    if (p.net == net && p.dir == PortDir::kInput) return true;
-  return false;
-}
-
-bool Netlist::is_primary_output(NetId net) const {
-  for (const auto& p : ports_)
-    if (p.net == net && p.dir == PortDir::kOutput) return true;
-  return false;
 }
 
 }  // namespace limsynth::netlist

@@ -83,30 +83,8 @@ class Netlist {
   const std::string& net_name(NetId net) const;
   NetId find_net(const std::string& name) const;
 
-  /// Connectivity index (rebuilt on demand after edits).
-  struct PinRef {
-    InstId inst;
-    std::string pin;
-  };
-  /// Instance output pin driving the net, or nullopt semantics via
-  /// inst < 0 when driven by a primary input (or floating).
-  PinRef driver_of(NetId net) const;
-  const std::vector<PinRef>& sinks_of(NetId net) const;
-  bool is_primary_input(NetId net) const;
-  bool is_primary_output(NetId net) const;
-
-  /// Declares which pins of a cell are outputs; by default the index uses
-  /// the library-conventional names (Y, Q, DO, MATCH, GCK).
-  static bool is_output_pin(const std::string& pin);
-
-  /// Invalidate the connectivity index after manual edits.
-  void touch() {
-    index_valid_ = false;
-    ++revision_;
-  }
-
   /// Monotonic edit counter: bumped by every structural mutation (add/remove
-  /// of nets, instances, ports, touch(), and mutable instance() access).
+  /// of nets, instances, ports, and mutable instance() access).
   /// BoundDesign captures it at bind time to detect stale bindings.
   std::uint64_t revision() const { return revision_; }
 
@@ -117,8 +95,6 @@ class Netlist {
   }
 
  private:
-  void rebuild_index() const;
-
   std::string name_;
   std::vector<Net> nets_;
   std::vector<Instance> instances_;
@@ -128,10 +104,6 @@ class Netlist {
   std::unordered_map<std::string, NetId> net_index_;
   int auto_net_counter_ = 0;
   std::uint64_t revision_ = 0;
-
-  mutable bool index_valid_ = false;
-  mutable std::vector<PinRef> drivers_;
-  mutable std::vector<std::vector<PinRef>> sinks_;
 };
 
 }  // namespace limsynth::netlist

@@ -175,8 +175,9 @@ Floorplan place_design(const netlist::BoundDesign& bd,
 
   const MacroPins macro_pins(nl, fp.macros);
   auto endpoint_pos = [&](InstId inst,
-                          const std::string& pin) -> std::pair<double, double> {
-    if (macro_pins.is_macro(inst)) return macro_pins.pin_pos(inst, pin);
+                          netlist::PinId pin) -> std::pair<double, double> {
+    if (macro_pins.is_macro(inst))
+      return macro_pins.pin_pos(inst, bd.pin_name(pin));
     return fp.positions[static_cast<std::size_t>(inst)];
   };
 
@@ -187,19 +188,20 @@ Floorplan place_design(const netlist::BoundDesign& bd,
       if (bd.cell(id).is_macro) continue;  // fixed
       double sx = 0.0, sy = 0.0;
       int n = 0;
-      for (const auto& conn : nl.instance(id).conns) {
+      for (const auto& conn : bd.conns(id)) {
         if (conn.net == nl.clock()) continue;  // ideal clock: no pull
         // Pull toward the driver and all other sinks of each connected net.
-        const auto drv = nl.driver_of(conn.net);
-        if (drv.inst >= 0 && drv.inst != id) {
-          const auto [px, py] = endpoint_pos(drv.inst, drv.pin);
+        const InstId drv = bd.driver_inst(conn.net);
+        if (drv >= 0 && drv != id) {
+          const auto [px, py] = endpoint_pos(drv, bd.driver(conn.net)->pin);
           sx += px;
           sy += py;
           ++n;
         }
-        for (const auto& sink : nl.sinks_of(conn.net)) {
+        for (const auto& sink : bd.sinks(conn.net)) {
           if (sink.inst == id) continue;
-          const auto [px, py] = endpoint_pos(sink.inst, sink.pin);
+          const auto [px, py] =
+              endpoint_pos(sink.inst, bd.conn_at(sink.conn).pin);
           sx += px;
           sy += py;
           ++n;
@@ -232,13 +234,13 @@ Floorplan place_design(const netlist::BoundDesign& bd,
       y1 = std::max(y1, y);
       ++endpoints;
     };
-    const auto drv = nl.driver_of(net);
-    if (drv.inst >= 0) {
-      const auto [px, py] = endpoint_pos(drv.inst, drv.pin);
+    if (const netlist::BoundConn* drv = bd.driver(net)) {
+      const auto [px, py] = endpoint_pos(bd.driver_inst(net), drv->pin);
       touch(px, py);
     }
-    for (const auto& sink : nl.sinks_of(net)) {
-      const auto [px, py] = endpoint_pos(sink.inst, sink.pin);
+    for (const auto& sink : bd.sinks(net)) {
+      const auto [px, py] =
+          endpoint_pos(sink.inst, bd.conn_at(sink.conn).pin);
       touch(px, py);
     }
     const auto& pp = port_pos[static_cast<std::size_t>(net)];

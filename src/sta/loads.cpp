@@ -25,8 +25,7 @@ NetLoads compute_net_loads(const netlist::BoundDesign& bd,
                  static_cast<double>(bd.sinks(net).size());
     }
     const auto n = static_cast<std::size_t>(net);
-    out.load[n] = pins + wire_cap +
-                  (nl.is_primary_output(net) ? opt.output_load : 0.0);
+    out.load[n] = pins + wire_cap + (bd.is_po(net) ? opt.output_load : 0.0);
     out.wire_delay[n] = 0.69 * wire_res * (wire_cap / 2.0 + pins);
   }
   return out;

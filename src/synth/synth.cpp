@@ -24,45 +24,31 @@ using netlist::InstId;
 using netlist::Netlist;
 using netlist::NetId;
 
-/// Input pin capacitance of a sink pin against a pre-resolved cell.
-double pin_cap(const liberty::LibCell& cell, const Netlist& nl,
-               const Netlist::PinRef& sink) {
-  const liberty::PinModel* pin = cell.find_input(pin_base(sink.pin));
-  LIMS_CHECK_MSG(pin != nullptr, "cell " << nl.instance(sink.inst).cell
-                                         << " has no input pin " << sink.pin);
-  return pin->cap;
-}
-
 int sweep_dead(Netlist& nl, const liberty::Library& lib) {
+  // Bind once; the sweep's only edits are removals, so the live sink count
+  // of each net is all the connectivity state that changes.
+  const netlist::BoundDesign bd(nl, lib);
+  std::vector<int> live_sinks(nl.nets().size());
+  for (std::size_t n = 0; n < live_sinks.size(); ++n)
+    live_sinks[n] = static_cast<int>(bd.sinks(static_cast<NetId>(n)).size());
   int removed = 0;
-  // Read through a const view (the non-const instance() accessor would
-  // invalidate the connectivity index on every touch). Cell identities
-  // never change during dead sweeping, so resolve the macro flag once
-  // instead of a library map lookup per instance per pass.
-  const Netlist& cnl = nl;
-  std::vector<char> is_macro(nl.instance_storage_size(), 0);
-  for (std::size_t i = 0; i < is_macro.size(); ++i) {
-    const auto id = static_cast<InstId>(i);
-    if (nl.is_live(id))
-      is_macro[i] = lib.cell(cnl.instance(id).cell).is_macro ? 1 : 0;
-  }
   bool changed = true;
   while (changed) {
     changed = false;
-    for (std::size_t i = 0; i < nl.instance_storage_size(); ++i) {
+    for (std::size_t i = 0; i < bd.instance_count(); ++i) {
       const auto id = static_cast<InstId>(i);
-      if (!nl.is_live(id)) continue;
-      const auto& inst = cnl.instance(id);
-      if (is_macro[i]) continue;
+      if (!nl.is_live(id) || bd.cell(id).is_macro) continue;
       bool all_outputs_dead = true;
       bool has_output = false;
-      for (const auto& c : inst.conns) {
-        if (!Netlist::is_output_pin(c.pin)) continue;
+      for (const auto& c : bd.conns(id)) {
+        if (!c.is_output) continue;
         has_output = true;
-        if (!nl.sinks_of(c.net).empty() || nl.is_primary_output(c.net))
+        if (live_sinks[static_cast<std::size_t>(c.net)] > 0 || bd.is_po(c.net))
           all_outputs_dead = false;
       }
       if (has_output && all_outputs_dead) {
+        for (const auto& c : bd.conns(id))
+          if (!c.is_output) --live_sinks[static_cast<std::size_t>(c.net)];
         nl.remove_instance(id);
         ++removed;
         changed = true;
@@ -73,21 +59,29 @@ int sweep_dead(Netlist& nl, const liberty::Library& lib) {
 }
 
 int buffer_fanout(Netlist& nl, const liberty::Library& lib, int max_fanout) {
-  int added = 0;
-  // Collect the work first: editing invalidates the connectivity index.
+  // Collect the work from one binding first: rewiring edits the netlist.
+  // Each sink is (instance, position in its conn list).
   struct Job {
     NetId net;
-    std::vector<Netlist::PinRef> sinks;
+    std::vector<std::pair<InstId, std::uint32_t>> sinks;
   };
   std::vector<Job> jobs;
-  for (NetId net = 0; net < static_cast<NetId>(nl.nets().size()); ++net) {
-    if (net == nl.clock()) continue;  // ideal clock tree
-    const auto& sinks = nl.sinks_of(net);
-    if (static_cast<int>(sinks.size()) <= max_fanout) continue;
-    // Macro control pins (DWL etc.) are driven by dedicated structures the
-    // generators already build; buffer them like any other net.
-    jobs.push_back({net, sinks});
+  {
+    const netlist::BoundDesign bd(nl, lib);
+    for (NetId net = 0; net < static_cast<NetId>(nl.nets().size()); ++net) {
+      if (net == nl.clock()) continue;  // ideal clock tree
+      const auto sinks = bd.sinks(net);
+      if (static_cast<int>(sinks.size()) <= max_fanout) continue;
+      // Macro control pins (DWL etc.) are driven by dedicated structures the
+      // generators already build; buffer them like any other net.
+      Job job{net, {}};
+      job.sinks.reserve(sinks.size());
+      for (const auto& s : sinks)
+        job.sinks.emplace_back(s.inst, s.conn - bd.conn_begin(s.inst));
+      jobs.push_back(std::move(job));
+    }
   }
+  int added = 0;
   int uid = 0;
   for (const auto& job : jobs) {
     // Split sinks into groups; insert one buffer per group.
@@ -104,15 +98,11 @@ int buffer_fanout(Netlist& nl, const liberty::Library& lib, int max_fanout) {
       const std::size_t hi =
           std::min(job.sinks.size(), lo + static_cast<std::size_t>(max_fanout));
       for (std::size_t s = lo; s < hi; ++s) {
-        auto& inst = nl.instance(job.sinks[s].inst);
-        for (auto& c : inst.conns) {
-          if (c.pin == job.sinks[s].pin && c.net == job.net) c.net = buf_out;
-        }
+        const auto [inst, k] = job.sinks[s];
+        nl.instance(inst).conns[k].net = buf_out;
       }
     }
-    nl.touch();
   }
-  (void)lib;
   return added;
 }
 
@@ -122,27 +112,24 @@ int size_gates(Netlist& nl, const liberty::Library& lib,
   std::map<std::string, tech::CellFunc> func_by_stem;
   for (const auto& c : cells.cells()) func_by_stem[cell_stem(c.name)] = c.func;
 
-  // Resolve each instance's library cell and std-cell template once; the
-  // arrays are updated in place when a gate is resized, so no pass ever
-  // re-pays a name lookup. Topology is frozen during sizing (buffering ran
-  // already), only drive strengths change.
-  // Read through a const view: the non-const instance() accessor
-  // invalidates the connectivity index (and bumps the revision), which
-  // would force a sinks_of rebuild per instance per pass.
-  const Netlist& cnl = nl;
-  const std::size_t n_inst = nl.instance_storage_size();
+  // Topology is frozen during sizing (buffering ran already), only drive
+  // strengths change: bind once for connectivity and keep each instance's
+  // library cell and std-cell template in arrays updated in place when a
+  // gate is resized. Sink caps are read through lib_of by input slot, so
+  // the binding's own (stale) cell choices are never consulted.
+  const netlist::BoundDesign bd(nl, lib);
+  const std::size_t n_inst = bd.instance_count();
   std::vector<const liberty::LibCell*> lib_of(n_inst, nullptr);
   std::vector<const tech::StdCell*> std_of(n_inst, nullptr);
   std::vector<int> func_of(n_inst, -1);
   for (std::size_t i = 0; i < n_inst; ++i) {
     const auto id = static_cast<InstId>(i);
     if (!nl.is_live(id)) continue;
-    const std::string& cell_name = cnl.instance(id).cell;
-    lib_of[i] = &lib.cell(cell_name);
-    const auto fit = func_by_stem.find(cell_stem(cell_name));
+    lib_of[i] = &bd.cell(id);
+    const auto fit = func_by_stem.find(cell_stem(lib_of[i]->name));
     if (fit == func_by_stem.end()) continue;  // macro: leave alone
     func_of[i] = static_cast<int>(fit->second);
-    std_of[i] = &cells.by_name(cell_name);
+    std_of[i] = &cells.by_name(lib_of[i]->name);
   }
 
   for (int pass = 0; pass < opt.sizing_passes; ++pass) {
@@ -156,14 +143,16 @@ int size_gates(Netlist& nl, const liberty::Library& lib,
       // per-sink estimate before).
       double load = 0.0;
       int fanout = 0;
-      for (const auto& c : cnl.instance(id).conns) {
-        if (!Netlist::is_output_pin(c.pin)) continue;
-        for (const auto& sink : nl.sinks_of(c.net)) {
-          load += pin_cap(*lib_of[static_cast<std::size_t>(sink.inst)], nl,
-                          sink);
+      for (const auto& c : bd.conns(id)) {
+        if (!c.is_output) continue;
+        for (const auto& sink : bd.sinks(c.net)) {
+          const auto inst = static_cast<std::size_t>(sink.inst);
+          const auto slot =
+              static_cast<std::size_t>(bd.conn_at(sink.conn).slot);
+          load += lib_of[inst]->inputs[slot].cap;
           ++fanout;
         }
-        if (nl.is_primary_output(c.net)) load += 10e-15;  // pad driver
+        if (bd.is_po(c.net)) load += 10e-15;  // pad driver
         if (opt.net_wire_caps != nullptr)
           load += opt.net_wire_caps->at(static_cast<std::size_t>(c.net));
       }
@@ -179,14 +168,13 @@ int size_gates(Netlist& nl, const liberty::Library& lib,
                         cells.process().c_unit());
       const tech::StdCell& chosen =
           cells.pick(static_cast<tech::CellFunc>(func_of[i]), drive_needed);
-      if (chosen.name != cnl.instance(id).cell) {
+      if (chosen.name != current.name) {
         nl.instance(id).cell = chosen.name;
         lib_of[i] = &lib.cell(chosen.name);
         std_of[i] = &chosen;
         ++pass_resized;
       }
     }
-    nl.touch();
     resized += pass_resized;
     if (pass_resized == 0) break;
   }

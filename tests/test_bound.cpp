@@ -1,6 +1,7 @@
 // Tests for the bound-design layer: bind-once resolution correctness
-// against the netlist's own connectivity index, analysis equivalence
-// through the legacy and bound entry points, and the stale-binding guard.
+// against a brute-force scan of the netlist, pin direction taken from the
+// library, analysis equivalence through the legacy and bound entry points,
+// and the stale-binding guard.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -72,38 +73,117 @@ TEST(Bound, ResolvesCellsAndConnsOnce) {
     // Dense cell deref matches the name-keyed library lookup.
     EXPECT_EQ(&bd.cell(id), &ctx.lib.cell(inst.cell)) << inst.name;
     // Every connection resolved, in declaration order, with its pin name
-    // interned reversibly and output-ness matching the convention.
+    // interned reversibly and output-ness matching the cell's pin models.
     const auto conns = bd.conns(id);
     ASSERT_EQ(conns.size(), inst.conns.size());
     for (std::size_t k = 0; k < conns.size(); ++k) {
       const BoundConn& c = conns[k];
       EXPECT_EQ(c.net, inst.conns[k].net);
       EXPECT_EQ(bd.pin_name(c.pin), inst.conns[k].pin);
-      EXPECT_EQ(c.is_output, Netlist::is_output_pin(inst.conns[k].pin));
+      EXPECT_EQ(c.is_output,
+                bd.cell(id).find_output(synth::pin_base(inst.conns[k].pin)) !=
+                    nullptr);
       if (const NetId* via_find = inst.find_pin(inst.conns[k].pin))
         EXPECT_EQ(bd.pin_net(id, c.pin), *via_find);
     }
   }
 }
 
-TEST(Bound, ConnectivityMatchesNetlistIndex) {
+TEST(Bound, ConnectivityMatchesBruteForceScan) {
   Ctx ctx;
-  const Netlist nl = make_pipeline();
+  Netlist nl = make_pipeline();
+  // A dead slot must be skipped by both sides.
+  nl.remove_instance(static_cast<InstId>(nl.instance_storage_size() / 2));
   const BoundDesign bd(nl, ctx.lib);
 
-  for (NetId net = 0; net < static_cast<NetId>(nl.nets().size()); ++net) {
-    EXPECT_EQ(bd.driver_inst(net), nl.driver_of(net).inst) << "net " << net;
-    const auto& sinks = nl.sinks_of(net);
-    const auto bsinks = bd.sinks(net);
-    ASSERT_EQ(bsinks.size(), sinks.size()) << "net " << net;
-    double cap = 0.0;
-    for (std::size_t s = 0; s < bsinks.size(); ++s) {
-      EXPECT_EQ(bsinks[s].inst, sinks[s].inst);
-      const BoundConn& c = bd.conn_at(bsinks[s].conn);
-      EXPECT_EQ(bd.pin_name(c.pin), sinks[s].pin);
-      cap += c.cap;
+  // Oracle: walk every live connection in netlist order and classify it
+  // by the cell's output pin models.
+  const std::size_t n_nets = nl.nets().size();
+  std::vector<std::pair<InstId, std::string>> driver(n_nets, {-1, ""});
+  std::vector<std::vector<std::pair<InstId, std::string>>> sinks(n_nets);
+  std::vector<double> cap(n_nets, 0.0);
+  for (std::size_t i = 0; i < nl.instance_storage_size(); ++i) {
+    const auto id = static_cast<InstId>(i);
+    if (!nl.is_live(id)) continue;
+    const netlist::Instance& inst = nl.instance(id);
+    const liberty::LibCell& cell = ctx.lib.cell(inst.cell);
+    for (const auto& c : inst.conns) {
+      const auto n = static_cast<std::size_t>(c.net);
+      const std::string base = synth::pin_base(c.pin);
+      if (cell.find_output(base) != nullptr) {
+        driver[n] = {id, c.pin};
+      } else {
+        sinks[n].emplace_back(id, c.pin);
+        cap[n] += cell.find_input(base)->cap;
+      }
     }
-    EXPECT_DOUBLE_EQ(bd.sink_cap(net), cap);
+  }
+  std::vector<bool> po(n_nets, false);
+  for (const auto& p : nl.ports())
+    if (p.dir == netlist::PortDir::kOutput)
+      po[static_cast<std::size_t>(p.net)] = true;
+
+  for (NetId net = 0; net < static_cast<NetId>(n_nets); ++net) {
+    const auto n = static_cast<std::size_t>(net);
+    EXPECT_EQ(bd.driver_inst(net), driver[n].first) << "net " << net;
+    if (const BoundConn* d = bd.driver(net)) {
+      EXPECT_EQ(bd.pin_name(d->pin), driver[n].second) << "net " << net;
+    }
+    const auto bsinks = bd.sinks(net);
+    ASSERT_EQ(bsinks.size(), sinks[n].size()) << "net " << net;
+    for (std::size_t s = 0; s < bsinks.size(); ++s) {
+      EXPECT_EQ(bsinks[s].inst, sinks[n][s].first);
+      EXPECT_EQ(bd.pin_name(bd.conn_at(bsinks[s].conn).pin),
+                sinks[n][s].second);
+    }
+    EXPECT_DOUBLE_EQ(bd.sink_cap(net), cap[n]);
+    EXPECT_EQ(bd.is_po(net), po[n]) << "net " << net;
+  }
+}
+
+TEST(Bound, OutputDirectionComesFromLibrary) {
+  // An output pin named outside any naming convention still drives.
+  liberty::LibCell zbuf;
+  zbuf.name = "ZBUF";
+  zbuf.inputs = {{"A", 2e-15}};
+  zbuf.outputs = {{"Z"}};
+  liberty::Library lib("z");
+  lib.add(std::move(zbuf));
+  Netlist nl("z");
+  const NetId a = nl.add_net("a");
+  const NetId z = nl.add_net("z");
+  const NetId w = nl.add_net("w");
+  const InstId u0 = nl.add_instance("u0", "ZBUF", {{"A", a}, {"Z", z}});
+  const InstId u1 = nl.add_instance("u1", "ZBUF", {{"A", z}, {"Z", w}});
+  const BoundDesign bd(nl, lib);
+
+  EXPECT_EQ(bd.driver_inst(z), u0);
+  const BoundConn* d = bd.driver(z);
+  ASSERT_NE(d, nullptr);
+  EXPECT_TRUE(d->is_output);
+  EXPECT_EQ(d->slot, 0);
+  EXPECT_EQ(bd.pin_name(d->pin), "Z");
+  ASSERT_EQ(bd.sinks(z).size(), 1u);
+  EXPECT_EQ(bd.sinks(z)[0].inst, u1);
+  EXPECT_DOUBLE_EQ(bd.sink_cap(z), 2e-15);
+  EXPECT_EQ(bd.driver_inst(w), u1);
+  EXPECT_TRUE(bd.sinks(w).empty());
+}
+
+TEST(Bound, UnmodeledPinRejectedWhateverItsName) {
+  Ctx ctx;
+  Netlist nl("bad");
+  const NetId a = nl.add_net("a");
+  const NetId y = nl.add_net("y");
+  const NetId d = nl.add_net("d");
+  // DO reads like an output, but INV_X1 does not model it.
+  nl.add_instance("u0", "INV_X1", {{"A", a}, {"Y", y}, {"DO", d}});
+  try {
+    const BoundDesign bd(nl, ctx.lib);
+    FAIL() << "unmodeled pin accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidConfig);
+    EXPECT_NE(std::string(e.what()).find("DO"), std::string::npos);
   }
 }
 

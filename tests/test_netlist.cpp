@@ -2,6 +2,7 @@
 
 #include <limits>
 
+#include "netlist/bound.hpp"
 #include "netlist/generators.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/sim.hpp"
@@ -14,19 +15,37 @@ namespace {
 
 tech::StdCellLib cells() { return tech::StdCellLib(tech::default_process()); }
 
+/// One-cell library: INV_X1 with input A and output Y.
+liberty::Library inv_library() {
+  liberty::LibCell inv;
+  inv.name = "INV_X1";
+  inv.inputs = {{"A", 1e-15}};
+  inv.outputs = {{"Y"}};
+  liberty::Library lib("inv");
+  lib.add(std::move(inv));
+  return lib;
+}
+
 TEST(Netlist, NetAndInstanceBookkeeping) {
+  const liberty::Library lib = inv_library();
   Netlist nl("t");
   const NetId a = nl.add_net("a");
   const NetId y = nl.add_net("y");
   EXPECT_THROW(nl.add_net("a"), Error);
   const InstId g = nl.add_instance("g0", "INV_X1", {{"A", a}, {"Y", y}});
   EXPECT_TRUE(nl.is_live(g));
-  EXPECT_EQ(nl.driver_of(y).inst, g);
-  ASSERT_EQ(nl.sinks_of(a).size(), 1u);
-  EXPECT_EQ(nl.sinks_of(a)[0].pin, "A");
+  {
+    const BoundDesign bd(nl, lib);
+    EXPECT_EQ(bd.driver_inst(y), g);
+    ASSERT_EQ(bd.sinks(a).size(), 1u);
+    EXPECT_EQ(bd.sinks(a)[0].inst, g);
+    EXPECT_EQ(bd.pin_name(bd.conn_at(bd.sinks(a)[0].conn).pin), "A");
+  }
   nl.remove_instance(g);
   EXPECT_FALSE(nl.is_live(g));
-  EXPECT_EQ(nl.driver_of(y).inst, -1);
+  const BoundDesign bd(nl, lib);
+  EXPECT_EQ(bd.driver_inst(y), -1);
+  EXPECT_TRUE(bd.sinks(a).empty());
 }
 
 TEST(Netlist, BusAndPorts) {
@@ -37,11 +56,18 @@ TEST(Netlist, BusAndPorts) {
   EXPECT_EQ(nl.find_net("d[3]"), bus[3]);
   EXPECT_EQ(nl.find_net("nope"), kNoNet);
   nl.add_port("d2", PortDir::kInput, bus[2]);
-  EXPECT_TRUE(nl.is_primary_input(bus[2]));
-  EXPECT_FALSE(nl.is_primary_output(bus[2]));
+  nl.add_port("d3", PortDir::kOutput, bus[3]);
+  ASSERT_EQ(nl.ports().size(), 2u);
+  EXPECT_EQ(nl.ports()[0].net, bus[2]);
+  EXPECT_EQ(nl.ports()[0].dir, PortDir::kInput);
+  const liberty::Library lib = inv_library();
+  const BoundDesign bd(nl, lib);
+  EXPECT_FALSE(bd.is_po(bus[2]));
+  EXPECT_TRUE(bd.is_po(bus[3]));
 }
 
 TEST(Netlist, RevisionTracksStructuralEdits) {
+  const liberty::Library lib = inv_library();
   Netlist nl("t");
   const std::uint64_t r0 = nl.revision();
   const NetId a = nl.add_net("a");
@@ -50,10 +76,11 @@ TEST(Netlist, RevisionTracksStructuralEdits) {
   const InstId g = nl.add_instance("g0", "INV_X1", {{"A", a}, {"Y", y}});
   const std::uint64_t r1 = nl.revision();
 
-  // Const reads never advance the revision...
+  // Const reads, binding included, never advance the revision...
   const Netlist& cnl = nl;
   (void)cnl.instance(g);
-  (void)cnl.sinks_of(a);
+  const BoundDesign bd(cnl, lib);
+  (void)bd.sinks(a);
   EXPECT_EQ(nl.revision(), r1);
   // ...but a mutable instance() access is a potential structural edit.
   (void)nl.instance(g);
@@ -80,15 +107,6 @@ TEST(Netlist, BusAndAutoNetNamingIndexed) {
   EXPECT_NE(nl.net_name(n0), nl.net_name(n1));
   EXPECT_EQ(nl.find_net(nl.net_name(n0)), n0);
   EXPECT_EQ(nl.find_net(nl.net_name(n1)), n1);
-}
-
-TEST(Netlist, OutputPinConvention) {
-  EXPECT_TRUE(Netlist::is_output_pin("Y"));
-  EXPECT_TRUE(Netlist::is_output_pin("Q"));
-  EXPECT_TRUE(Netlist::is_output_pin("DO[7]"));
-  EXPECT_TRUE(Netlist::is_output_pin("MATCH"));
-  EXPECT_FALSE(Netlist::is_output_pin("A"));
-  EXPECT_FALSE(Netlist::is_output_pin("RWL[3]"));
 }
 
 // Exhaustive truth-table checks for the generators through the simulator.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "liberty/characterize.hpp"
+#include "netlist/bound.hpp"
 #include "netlist/generators.hpp"
 #include "netlist/sim.hpp"
 #include "place/place.hpp"
@@ -16,7 +17,9 @@
 namespace limsynth {
 namespace {
 
+using netlist::BoundDesign;
 using netlist::Builder;
+using netlist::InstId;
 using netlist::Netlist;
 using netlist::NetId;
 
@@ -65,10 +68,36 @@ TEST(Synth, SweepsDeadLogic) {
   nl.add_port("out", netlist::PortDir::kOutput, used);
   // A chain of gates driving nothing.
   b.inv(b.inv(b.inv(in)));
+  // The same dead chain in reverse instance order: each sink is added
+  // before its driver.
+  const NetId r1 = nl.add_net("r1");
+  const NetId r2 = nl.add_net("r2");
+  const NetId r3 = nl.add_net("r3");
+  nl.add_instance("rev2", "INV_X1", {{"A", r2}, {"Y", r3}});
+  nl.add_instance("rev1", "INV_X1", {{"A", r1}, {"Y", r2}});
+  nl.add_instance("rev0", "INV_X1", {{"A", in}, {"Y", r1}});
+  // A gate whose only sink is a dead gate dies with it; one whose net also
+  // reaches a primary output stays, though its dead sink goes.
+  const NetId p = nl.add_net("p");
+  const NetId q = nl.add_net("q");
+  nl.add_instance("feeds_dead", "INV_X1", {{"A", in}, {"Y", p}});
+  nl.add_instance("dead_sink", "INV_X1", {{"A", p}, {"Y", q}});
+  const NetId s = nl.add_net("s");
+  const NetId t = nl.add_net("t");
+  const InstId keeper =
+      nl.add_instance("feeds_po", "INV_X1", {{"A", in}, {"Y", s}});
+  nl.add_instance("dead_sink_po", "INV_X1", {{"A", s}, {"Y", t}});
+  nl.add_port("s", netlist::PortDir::kOutput, s);
+
   const std::size_t before = nl.live_instance_count();
   const synth::SynthStats stats = synth::synthesize(nl, ctx.lib, ctx.cells);
-  EXPECT_EQ(stats.dead_removed, 3);
-  EXPECT_EQ(nl.live_instance_count(), before - 3);
+  EXPECT_EQ(stats.dead_removed, 9);
+  EXPECT_EQ(nl.live_instance_count(), before - 9);
+  ASSERT_EQ(nl.live_instance_count(), 2u);
+  const BoundDesign bd(nl, ctx.lib);
+  EXPECT_GE(bd.driver_inst(used), 0);
+  EXPECT_EQ(bd.driver_inst(s), keeper);
+  EXPECT_TRUE(bd.sinks(s).empty());
 }
 
 TEST(Synth, BuffersHighFanout) {
@@ -85,8 +114,9 @@ TEST(Synth, BuffersHighFanout) {
   const synth::SynthStats stats = synth::synthesize(nl, ctx.lib, ctx.cells, opt);
   EXPECT_GE(stats.buffers_added, 3);
   // No net exceeds the fanout cap afterwards.
+  const BoundDesign bd(nl, ctx.lib);
   for (NetId n = 0; n < static_cast<NetId>(nl.nets().size()); ++n)
-    EXPECT_LE(nl.sinks_of(n).size(), 13u) << nl.net_name(n);
+    EXPECT_LE(bd.sinks(n).size(), 13u) << nl.net_name(n);
 }
 
 TEST(Synth, SizingUpsLoadedGates) {
@@ -102,9 +132,10 @@ TEST(Synth, SizingUpsLoadedGates) {
   opt.max_fanout = 16;
   (void)synth::synthesize(nl, ctx.lib, ctx.cells, opt);
   // The driver of `mid` should have been upsized beyond X1.
-  const auto drv = nl.driver_of(mid);
-  ASSERT_GE(drv.inst, 0);
-  EXPECT_NE(nl.instance(drv.inst).cell, "INV_X1");
+  const BoundDesign bd(nl, ctx.lib);
+  const InstId drv = bd.driver_inst(mid);
+  ASSERT_GE(drv, 0);
+  EXPECT_NE(bd.cell(drv).name, "INV_X1");
 }
 
 TEST(Synth, StemAndPinHelpers) {
@@ -172,10 +203,9 @@ TEST(Sta, DetectsCombinationalCycle) {
   const NetId y = b.inv(a);
   const NetId z = b.inv(y);
   // Close the loop: rewire the first inverter's input to z.
-  auto& inst = nl.instance(nl.driver_of(y).inst);
-  for (auto& c : inst.conns)
+  const InstId first = BoundDesign(nl, ctx.lib).driver_inst(y);
+  for (auto& c : nl.instance(first).conns)
     if (c.pin == "A") c.net = z;
-  nl.touch();
   EXPECT_THROW(sta::run_sta(nl, ctx.lib), Error);
 }
 
