@@ -1,12 +1,14 @@
 // Engine-independent switching-activity record — the .saif substitute.
 //
-// Both simulation engines produce one: the two-phase settle simulator
-// reports functional toggles only (a zero-delay fixpoint cannot see
-// hazards, so glitch_toggles stays zero), while the event-driven engine
-// (evsim) splits every net's transitions into functional toggles and
-// hazard (glitch) toggles. Power analysis consumes the record without
-// caring which engine made it, which is how glitch energy lands in the
-// power report as its own component.
+// Both simulation engines produce one. The two-phase settle simulator
+// counts every value change its fixpoint passes make: mostly functional
+// toggles, plus transients where a gate evaluated (in instance order)
+// before its inputs settled flips and flips back within one settle. It
+// does not separate the two, so glitch_toggles stays zero. The
+// event-driven engine (evsim) splits every net's transitions into
+// functional toggles and hazard (glitch) toggles. Power analysis
+// consumes the record without caring which engine made it, which is how
+// glitch energy lands in the power report as its own component.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +26,8 @@ struct Activity {
   /// Per-net transition counts over the whole run (both edges counted).
   std::vector<std::uint64_t> toggles;
   /// Per-net hazard transitions: toggles beyond the one functional change
-  /// per cycle. Always <= toggles[net]; zero from the settle engine.
+  /// per cycle. Always <= toggles[net]; zero from the settle engine
+  /// (whose evaluation-order transients stay inside `toggles`).
   std::vector<std::uint64_t> glitch_toggles;
   /// Cycles in which each macro instance reported an access.
   std::map<InstId, std::uint64_t> macro_accesses;

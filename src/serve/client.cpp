@@ -21,8 +21,11 @@ void Client::reconnect() {
 CallResult Client::call(const std::string& request_json, int timeout_ms) {
   CallResult res;
   if (!conn_) return res;
+  // A failed write does not end the call: a server that sheds at accept
+  // writes its reply and closes before reading our request, so the write
+  // fails (reset) with the retry_after_ms frame already in our receive
+  // buffer. Read it anyway; on a dead wire the read returns at once.
   res.write_err = write_frame(*conn_, request_json, timeout_ms);
-  if (res.write_err != TxErr::kNone) return res;
   const FrameStatus st =
       reader_.poll(*conn_, timeout_ms, timeout_ms, &res.payload);
   res.read_status = st;
@@ -47,8 +50,7 @@ RetryResult Client::call_retry(const std::string& request_json,
   for (int retry = 0; retry < policy.max_retries && out.last.shed(); ++retry) {
     // Schedule: half-jitter the exponential step (uniform in
     // [step/2, step]) so a thundering herd of shed clients decorrelates,
-    // but never sleep less than the server's own hint — retrying before
-    // the bucket refills is a guaranteed wasted attempt. Cap wins last.
+    // but never sleep less than the server's own hint. Cap wins last.
     const int exp_ms = policy.base_backoff_ms
                        << std::min(retry, 20);  // no overflow
     const int jittered =
@@ -60,14 +62,10 @@ RetryResult Client::call_retry(const std::string& request_json,
     backoff = std::min(backoff, policy.max_backoff_ms);
     std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
     out.total_backoff_ms += backoff;
-    // An accept-level shed closes the connection server-side; quota and
-    // drain sheds keep it open. Try the existing wire first, and treat
-    // reconnect-and-resend as part of the same attempt when it is gone.
+    // Every shed closes the connection server-side (accept-time and
+    // drain sheds alike), so each retry reconnects and resends.
+    reconnect();
     out.last = call(request_json, timeout_ms);
-    if (!out.last.transport_ok) {
-      reconnect();
-      out.last = call(request_json, timeout_ms);
-    }
     out.attempts += 1;
   }
   return out;

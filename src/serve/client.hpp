@@ -25,7 +25,7 @@ struct CallResult {
   bool reply_parsed = false;
 
   /// A shed reply: the server said "not now" with a retry_after_ms hint
-  /// (saturation, quota, drain) — the retryable refusals.
+  /// (saturation at accept, drain) — the retryable refusals.
   bool shed() const {
     return transport_ok && reply_parsed && !fields.ok &&
            fields.retry_after_ms >= 0.0;
@@ -57,24 +57,24 @@ class Client {
   bool connected() const { return conn_ != nullptr; }
 
   /// Sends one request payload and waits up to `timeout_ms` for the
-  /// reply frame.
+  /// reply frame. The reply is read even when the write fails, so a
+  /// shed reply the server sent before closing still arrives (write_err
+  /// then records the failed write).
   CallResult call(const std::string& request_json, int timeout_ms = 30000);
 
   /// call() plus shed handling: a reply carrying retry_after_ms is
   /// retried up to policy.max_retries times with capped, jittered
   /// backoff (the server's hint wins over the exponential schedule when
-  /// larger). Reconnects between attempts when the server hung up after
-  /// shedding (accept-level sheds close the connection). Non-shed
-  /// outcomes — success, typed errors, transport faults — return
-  /// immediately; retries exhausted returns the last shed reply, which
-  /// the caller maps to the shed taxonomy exit.
+  /// larger). Every retry reconnects, because the server closes the
+  /// connection after every shed. Non-shed outcomes — success, typed
+  /// errors, transport faults — return immediately; retries exhausted
+  /// returns the last shed reply, which the caller maps to the shed
+  /// taxonomy exit.
   RetryResult call_retry(const std::string& request_json,
                          const RetryPolicy& policy, int timeout_ms = 30000);
 
   /// Raw access for fault-shaped clients (torn frames, partial bytes).
   Conn* conn() { return conn_.get(); }
-  /// Replaces the connection (tests wrap it in a FaultConn).
-  void wrap(std::unique_ptr<Conn> conn) { conn_ = std::move(conn); }
   std::unique_ptr<Conn> release() { return std::move(conn_); }
 
   void close();

@@ -1,7 +1,5 @@
 #include "serve/codec.hpp"
 
-#include <algorithm>
-
 #include "util/jsonl.hpp"
 
 namespace limsynth::serve {
@@ -108,7 +106,6 @@ bool parse_request(const std::string& payload, Request* out,
     return false;
   }
   if (!opt_string(payload, "id", &out->id, error)) return false;
-  if (!opt_string(payload, "client_id", &out->client_id, error)) return false;
   if (out->op == Op::kBatch) {
     const std::size_t items_pos = jsonl::find_field(payload, "items");
     if (items_pos == std::string::npos) {
@@ -123,7 +120,7 @@ bool parse_request(const std::string& payload, Request* out,
     // Items travel newline-separated inside the one string field the
     // flat dialect allows. Blank lines are dropped (a trailing '\n' is
     // not an item); an empty or oversized batch is malformed up front so
-    // the admission layer never prices phantom or unbounded work.
+    // the queue never holds phantom or unbounded work.
     std::size_t start = 0;
     while (start <= items.size()) {
       const std::size_t nl = items.find('\n', start);
@@ -212,16 +209,6 @@ std::string make_shed_reply(int retry_after_ms) {
   return w.str();
 }
 
-std::string make_quota_shed_reply(const std::string& id, int retry_after_ms) {
-  JsonWriter w;
-  w.add("id", id).add("ok", false);
-  w.add("error_code",
-        std::string(error_code_name(ErrorCode::kResourceExhausted)));
-  w.add("error", std::string("client quota exceeded; retry later"));
-  w.add("retry_after_ms", retry_after_ms);
-  return w.str();
-}
-
 std::string make_drain_shed_reply(const std::string& id, int retry_after_ms) {
   JsonWriter w;
   w.add("id", id).add("ok", false);
@@ -230,50 +217,6 @@ std::string make_drain_shed_reply(const std::string& id, int retry_after_ms) {
   w.add("error", std::string("server draining; retry later"));
   w.add("retry_after_ms", retry_after_ms);
   return w.str();
-}
-
-std::string make_deadline_reject_reply(const std::string& id,
-                                       double estimated_wait_ms,
-                                       double deadline_ms) {
-  JsonWriter w;
-  w.add("id", id).add("ok", false);
-  w.add("error_code",
-        std::string(error_code_name(ErrorCode::kResourceExhausted)));
-  w.add("error", std::string("deadline unmeetable given current backlog"));
-  w.add("estimated_wait_ms", estimated_wait_ms);
-  w.add("deadline_ms", deadline_ms);
-  w.add("retry_after_ms",
-        std::max(1, static_cast<int>(estimated_wait_ms - deadline_ms) + 1));
-  return w.str();
-}
-
-std::uint64_t request_fingerprint(const Request& req) {
-  // Canonical field dump in declaration order. deadline_ms is included
-  // deliberately: the same shape under a tighter budget is different
-  // work as far as "does it die" goes, and must not drag the generous
-  // variant into quarantine with it.
-  std::string canon;
-  canon += op_name(req.op);
-  canon += '|';
-  canon += req.kind;
-  for (int v : {req.words, req.bits, req.stack, req.brick_words, req.banks,
-                req.ecc ? 1 : 0, req.spare_rows, req.yield_chips, req.cycles}) {
-    canon += '|';
-    canon += std::to_string(v);
-  }
-  canon += '|';
-  canon += std::to_string(req.seed);
-  canon += '|';
-  canon += req.liberty;
-  canon += '|';
-  canon += jsonl::format_g17(req.deadline_ms);
-  canon += '|';
-  canon += jsonl::format_g17(req.sleep_ms);
-  for (const std::string& item : req.batch) {
-    canon += '\n';
-    canon += item;
-  }
-  return jsonl::fnv1a(canon);
 }
 
 bool parse_reply(const std::string& payload, ReplyFields* out) {

@@ -32,8 +32,8 @@ enum class Op {
   kBatch,          ///< many items in one frame, one dispatch
 };
 
-/// Upper bound on items in one batch frame: keeps a single frame from
-/// representing unbounded work the admission layer priced as one unit.
+/// Upper bound on items in one batch frame: keeps a single queued frame
+/// from representing unbounded work.
 constexpr int kMaxBatchItems = 256;
 
 const char* op_name(Op op);
@@ -43,11 +43,6 @@ const char* op_name(Op op);
 struct Request {
   std::string id;  ///< caller correlation id, echoed verbatim (may be "")
   Op op = Op::kPing;
-
-  /// Tenant identity for quotas/fairness. Empty means "this connection":
-  /// the server substitutes its per-connection id, so an anonymous
-  /// client is its own tenant rather than part of a shared bucket.
-  std::string client_id;
 
   /// op == kBatch: the decoded item payloads, one flat JSON object per
   /// entry (wire form: the `items` field holds them newline-separated
@@ -110,26 +105,9 @@ std::string make_error_reply(const std::string& id, ErrorCode code,
 /// drain time.
 std::string make_shed_reply(int retry_after_ms);
 
-/// Per-request quota shed: like make_shed_reply but echoing the request
-/// id, with `retry_after_ms` computed from the client's bucket refill.
-std::string make_quota_shed_reply(const std::string& id, int retry_after_ms);
-
 /// Drain shed: sent to requests queued (or arriving) while the server is
 /// draining. Echoes the id and advertises `retry_after_ms`.
 std::string make_drain_shed_reply(const std::string& id, int retry_after_ms);
-
-/// Deadline-admission reject: the backlog estimate already exceeds the
-/// request's `deadline_ms`, so it is refused at enqueue time instead of
-/// burning a worker. Carries `estimated_wait_ms` and a retry hint.
-std::string make_deadline_reject_reply(const std::string& id,
-                                       double estimated_wait_ms,
-                                       double deadline_ms);
-
-/// Identity of the *work* a request describes: a stable hash over every
-/// semantic field, excluding the caller-correlation `id` and the tenant
-/// `client_id` — the same shape submitted by two tenants is one
-/// fingerprint. The poison-request circuit breaker keys on this.
-std::uint64_t request_fingerprint(const Request& req);
 
 /// Decoded reply fields a client cares about (raw payload kept by the
 /// caller for op-specific fields).

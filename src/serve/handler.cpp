@@ -189,26 +189,12 @@ struct ItemOutcome {
   std::string payload;
   bool ok = true;
   ErrorCode code = ErrorCode::kInternal;
-  bool quarantined = false;
 };
 
 ItemOutcome run_item(const Request& req, const HandlerContext& ctx,
                      const Watchdog& wd) {
   ItemOutcome out;
-  const std::uint64_t fp = request_fingerprint(req);
   try {
-    // Breaker gate first: a quarantined fingerprint is refused without
-    // touching the compute path at all (that is the point).
-    if (ctx.breaker != nullptr) {
-      std::string msg;
-      if (ctx.breaker->quarantined(fp, &msg)) {
-        out.ok = false;
-        out.code = ErrorCode::kQuarantined;
-        out.quarantined = true;
-        out.payload = make_error_reply(req.id, ErrorCode::kQuarantined, msg);
-        return out;
-      }
-    }
     check_liberty_ref(req.liberty);
     switch (req.op) {
       case Op::kPing: {
@@ -238,19 +224,14 @@ ItemOutcome run_item(const Request& req, const HandlerContext& ctx,
                   "op \"" << op_name(req.op)
                           << "\" is not allowed inside a batch");
     }
-    if (ctx.breaker != nullptr)
-      ctx.breaker->record(fp, true, ErrorCode::kInternal);
   } catch (const Error& e) {
     out.ok = false;
     out.code = e.code();
     out.payload = make_error_reply(req.id, e.code(), e.what());
-    if (ctx.breaker != nullptr) ctx.breaker->record(fp, false, e.code());
   } catch (const std::exception& e) {
     out.ok = false;
     out.code = ErrorCode::kInternal;
     out.payload = make_error_reply(req.id, ErrorCode::kInternal, e.what());
-    if (ctx.breaker != nullptr)
-      ctx.breaker->record(fp, false, ErrorCode::kInternal);
   }
   return out;
 }
@@ -283,8 +264,7 @@ Handled run_batch(const Request& req, const HandlerContext& ctx,
       out.batch_failed += 1;
     } else if (wd.enabled() && wd.expired()) {
       // The batch budget burned out before this item even started: a
-      // typed per-item refusal, and deliberately NO breaker death —
-      // the deadline was spent by earlier items, not by this shape.
+      // typed per-item refusal without running it.
       reply = make_error_reply(item.id, ErrorCode::kResourceExhausted,
                                "batch budget exhausted before this item");
       out.batch_failed += 1;
@@ -292,7 +272,6 @@ Handled run_batch(const Request& req, const HandlerContext& ctx,
       const ItemOutcome r = run_item(item, ctx, wd);
       reply = r.payload;
       if (!r.ok) out.batch_failed += 1;
-      if (r.quarantined) out.quarantined += 1;
     }
     if (!results.empty()) results += '\n';
     results += reply;
@@ -332,7 +311,6 @@ Handled handle_request(const Request& req, const HandlerContext& ctx) {
     out.payload = r.payload;
     out.ok = r.ok;
     out.code = r.code;
-    out.quarantined = r.quarantined ? 1 : 0;
     return out;
   } catch (const Error& e) {
     out.ok = false;

@@ -12,14 +12,8 @@
 // error isolation: each item goes through the same run-item pipeline an
 // individual request uses (same functions, same reply writer), so a
 // batched result is byte-identical to the one-frame-per-request result
-// — including the typed per-item error a poisoned or malformed item
+// — including the typed per-item error a failing or malformed item
 // yields. One sick item costs one line of the results, never the batch.
-//
-// When HandlerContext::breaker is set, every item consults the
-// poison-request circuit breaker first: a fingerprint that repeatedly
-// died (watchdog kill / handler fault) is refused with a typed
-// `quarantined` reply instead of being re-executed, and every execution
-// outcome feeds back into the breaker.
 //
 // The handler runs against resident state: the process/StdCellLib pair
 // built once at server start and the process-wide two-tier BrickCache
@@ -32,7 +26,6 @@
 #include <string>
 
 #include "serve/codec.hpp"
-#include "serve/sched.hpp"
 #include "tech/process.hpp"
 #include "tech/stdcell.hpp"
 
@@ -47,8 +40,6 @@ struct HandlerContext {
   /// Drain flag: long-running ops poll it and fail with kInterrupted so
   /// a SIGTERM drain is bounded by one stage, not one request.
   const std::atomic<bool>* cancel = nullptr;
-  /// Optional poison-request circuit breaker (owned by the server).
-  PoisonBreaker* breaker = nullptr;
 };
 
 /// A handled request: the reply payload plus the classification the
@@ -57,7 +48,6 @@ struct Handled {
   std::string payload;
   bool ok = true;
   ErrorCode code = ErrorCode::kInternal;  ///< meaningful when !ok
-  int quarantined = 0;   ///< breaker refusals (the request or its items)
   int batch_items = 0;   ///< items carried when op == kBatch
   int batch_failed = 0;  ///< items that yielded a typed error
 };

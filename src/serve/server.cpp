@@ -1,7 +1,9 @@
 #include "serve/server.hpp"
 
-#include <chrono>
+#include <future>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "brick/cache.hpp"
 #include "brick/store.hpp"
@@ -9,25 +11,22 @@
 
 namespace limsynth::serve {
 
+/// One queued request. Exactly one party sets the reply: the executor
+/// that popped it, or the drain that swept it off the queue.
+struct Server::WorkItem {
+  Request req;
+  std::promise<std::string> reply;
+};
+
 Server::Server(Listener& listener, const HandlerContext& ctx,
                const ServeOptions& options)
-    : listener_(listener),
-      ctx_(ctx),
-      opt_(options),
-      breaker_(options.poison_threshold) {
+    : listener_(listener), ctx_(ctx), opt_(options) {
   // The handler's drain flag is the server's, so in-flight long ops stop
   // at their next stage boundary once the drain begins.
   ctx_.cancel = &draining_;
-  ctx_.breaker = &breaker_;
   if (ctx_.max_deadline_seconds <= 0.0 ||
       ctx_.max_deadline_seconds > opt_.request_deadline_seconds)
     ctx_.max_deadline_seconds = opt_.request_deadline_seconds;
-  Scheduler::Options sopt;
-  sopt.workers = opt_.workers;
-  sopt.default_quota = {opt_.quota_rps, opt_.quota_burst};
-  sopt.quota_overrides = opt_.quota_overrides;
-  sopt.retry_after_ms = opt_.retry_after_ms;
-  sched_ = std::make_unique<Scheduler>(sopt);
 }
 
 ServeStats Server::stats() const {
@@ -40,9 +39,6 @@ ServeStats Server::stats() const {
   s.replies_ok = n_.replies_ok.load();
   s.replies_error = n_.replies_error.load();
   s.deadline_exceeded = n_.deadline_exceeded.load();
-  s.quota_shed = n_.quota_shed.load();
-  s.deadline_rejected = n_.deadline_rejected.load();
-  s.quarantined = n_.quarantined.load();
   s.batches = n_.batches.load();
   s.batch_items = n_.batch_items.load();
   s.protocol_errors = n_.protocol_errors.load();
@@ -52,12 +48,13 @@ ServeStats Server::stats() const {
   return s;
 }
 
-std::vector<ClientStatsRow> Server::client_stats() const {
-  return sched_->client_stats();
-}
-
 std::string Server::stats_reply(const std::string& id) const {
   const ServeStats s = stats();
+  std::uint64_t backlog = 0;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    backlog = work_queue_.size();
+  }
   JsonWriter w;
   w.add("id", id).add("ok", true);
   w.add("op", std::string("stats"));
@@ -65,12 +62,8 @@ std::string Server::stats_reply(const std::string& id) const {
   w.add("requests", s.requests);
   w.add("replies_ok", s.replies_ok).add("replies_error", s.replies_error);
   w.add("deadline_exceeded", s.deadline_exceeded);
-  w.add("quota_shed", s.quota_shed);
-  w.add("deadline_rejected", s.deadline_rejected);
-  w.add("quarantined", s.quarantined);
-  w.add("quarantined_fingerprints", breaker_.quarantined_fingerprints());
   w.add("batches", s.batches).add("batch_items", s.batch_items);
-  w.add("backlog", static_cast<std::uint64_t>(sched_->backlog()));
+  w.add("backlog", backlog);
   w.add("protocol_errors", s.protocol_errors);
   w.add("disconnects", s.disconnects).add("slow_loris", s.slow_loris);
   w.add("idle_closed", s.idle_closed);
@@ -83,77 +76,55 @@ std::string Server::stats_reply(const std::string& id) const {
     w.add("store_saves", ss.saves).add("store_quarantined", ss.quarantined);
     w.add("store_writes_disabled", ss.writes_disabled);
   }
-  // Per-tenant rows, flat-jsonl style: one key per counter. Conservation
-  // (accepted == served + shed) is checkable from the reply alone.
-  const std::vector<ClientStatsRow> rows = sched_->client_stats();
-  w.add("clients", static_cast<std::uint64_t>(rows.size()));
-  for (const ClientStatsRow& r : rows) {
-    const std::string p = "client." + r.id + ".";
-    w.add(p + "accepted", r.n.accepted);
-    w.add(p + "served", r.n.served());
-    w.add(p + "shed", r.n.shed());
-    w.add(p + "quarantined", r.n.quarantined);
-  }
   return w.str();
 }
 
-std::string Server::dispatch(const std::string& payload,
-                             const std::string& conn_client) {
+std::string Server::dispatch(const std::string& payload) {
   n_.requests.fetch_add(1);
   Request req;
   std::string parse_error;
   if (!parse_request(payload, &req, &parse_error)) {
     n_.replies_error.fetch_add(1);
     n_.protocol_errors.fetch_add(1);
-    sched_->note_inline(conn_client, false);
     return make_error_reply("", ErrorCode::kInvalidConfig,
                             "malformed request: " + parse_error);
   }
-  // Tenant identity: explicit client_id, else this connection is its own
-  // anonymous tenant.
-  const std::string& client =
-      req.client_id.empty() ? conn_client : req.client_id;
   if (req.op == Op::kStats) {
-    // Answered inline (the session owns no worker): counted first so the
-    // reply's own row already includes it.
-    sched_->note_inline(client, true);
+    // Answered inline: the session owns no worker.
     n_.replies_ok.fetch_add(1);
     return stats_reply(req.id);
   }
-
-  Admission adm = sched_->submit(req, client);
-  switch (adm.verdict) {
-    case Admission::Verdict::kShedQuota:
-      n_.replies_error.fetch_add(1);
-      n_.quota_shed.fetch_add(1);
-      return make_quota_shed_reply(req.id, adm.retry_after_ms);
-    case Admission::Verdict::kShedDeadline:
-      n_.replies_error.fetch_add(1);
-      n_.deadline_rejected.fetch_add(1);
-      return make_deadline_reject_reply(req.id, adm.estimated_wait_ms,
-                                        req.deadline_ms);
-    case Admission::Verdict::kShedDrain:
+  auto item = std::make_shared<WorkItem>();
+  std::future<std::string> reply = item->reply.get_future();
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    // A frame read just before the drain swept the queue would wait
+    // forever once queued: refuse it like the swept ones.
+    if (draining()) {
       n_.replies_error.fetch_add(1);
       n_.drained.fetch_add(1);
-      return make_drain_shed_reply(req.id, adm.retry_after_ms);
-    case Admission::Verdict::kAdmitted:
-      break;
+      return make_drain_shed_reply(req.id, opt_.retry_after_ms);
+    }
+    item->req = std::move(req);
+    work_queue_.push_back(item);
   }
+  work_cv_.notify_one();
   // Window-of-1 per connection: the session blocks here, so there is
   // exactly one writer per conn and replies can never interleave.
-  return adm.item->wait();
+  return reply.get();
 }
 
 void Server::executor_loop() {
   for (;;) {
-    std::shared_ptr<WorkItem> item = sched_->pop();
-    if (!item) return;  // drained and empty
-    const auto t0 = std::chrono::steady_clock::now();
+    std::shared_ptr<WorkItem> item;
+    {
+      std::unique_lock<std::mutex> lk(mu_);
+      work_cv_.wait(lk, [&] { return !work_queue_.empty() || draining(); });
+      if (work_queue_.empty()) return;  // drained and empty
+      item = std::move(work_queue_.front());
+      work_queue_.pop_front();
+    }
     const Handled h = handle_request(item->req, ctx_);
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    sched_->record_service(*item, h.ok, seconds, h.quarantined > 0);
     if (h.ok) {
       n_.replies_ok.fetch_add(1);
     } else {
@@ -161,18 +132,15 @@ void Server::executor_loop() {
       if (h.code == ErrorCode::kResourceExhausted)
         n_.deadline_exceeded.fetch_add(1);
     }
-    if (h.quarantined > 0)
-      n_.quarantined.fetch_add(static_cast<std::uint64_t>(h.quarantined));
     if (item->req.op == Op::kBatch) {
       n_.batches.fetch_add(1);
       n_.batch_items.fetch_add(static_cast<std::uint64_t>(h.batch_items));
     }
-    item->fulfill(h.payload, h.ok, h.code);
+    item->reply.set_value(h.payload);
   }
 }
 
-void Server::serve_connection(std::unique_ptr<Conn> conn,
-                              const std::string& conn_client) {
+void Server::serve_connection(std::unique_ptr<Conn> conn) {
   FrameReader reader(opt_.max_frame_bytes);
   int idle_spent_ms = 0;
   for (;;) {
@@ -190,7 +158,7 @@ void Server::serve_connection(std::unique_ptr<Conn> conn,
     switch (st) {
       case FrameStatus::kFrame: {
         idle_spent_ms = 0;
-        const std::string reply = dispatch(payload, conn_client);
+        const std::string reply = dispatch(payload);
         if (write_frame(*conn, reply, opt_.write_timeout_ms) !=
             TxErr::kNone) {
           n_.disconnects.fetch_add(1);
@@ -253,8 +221,7 @@ void Server::session_loop() {
       conn_queue_.pop_front();
       busy_sessions_ += 1;
     }
-    const std::uint64_t seq = conn_seq_.fetch_add(1) + 1;
-    serve_connection(std::move(conn), "conn-" + std::to_string(seq));
+    serve_connection(std::move(conn));
     {
       std::lock_guard<std::mutex> lk(mu_);
       busy_sessions_ -= 1;
@@ -274,8 +241,7 @@ void Server::run() {
 
   // Acceptor loop (this thread). Connection-level shedding happens here:
   // when every session slot is spoken for the client gets an immediate
-  // typed refusal instead of an unbounded wait. (Request-level shedding
-  // — quotas, deadlines — happens later, inside the sessions.)
+  // typed refusal instead of an unbounded wait.
   while (!(opt_.shutdown != nullptr &&
            opt_.shutdown->load(std::memory_order_relaxed))) {
     std::unique_ptr<Conn> conn = listener_.accept(opt_.accept_poll_ms);
@@ -301,15 +267,31 @@ void Server::run() {
 
   // ---- graceful drain -------------------------------------------------
   listener_.close();  // stop accepting
-  // Connections still waiting for a session have no request in flight:
-  // answer each with a shed reply (retry elsewhere/later) and close.
-  // Swept BEFORE the drain flag flips — a session that grabbed one
-  // afterwards would close it replyless.
+  // One critical section sweeps both queues and only then flips the
+  // drain flag: queued requests get typed drain replies (their sessions
+  // wake and write them) before any executor freed by the cancel could
+  // pop one and answer it `interrupted`, and no session can grab a
+  // leftover connection and close it replyless.
   std::deque<std::unique_ptr<Conn>> leftover;
   {
     std::lock_guard<std::mutex> lk(mu_);
     leftover.swap(conn_queue_);
+    for (auto& item : work_queue_) {
+      n_.replies_error.fetch_add(1);
+      n_.drained.fetch_add(1);
+      item->reply.set_value(
+          make_drain_shed_reply(item->req.id, opt_.retry_after_ms));
+    }
+    work_queue_.clear();
+    // Sessions stop reading at the next request boundary, in-flight
+    // handlers stop at their next stage boundary, and executors exit
+    // once the (now empty) queue stays empty.
+    draining_.store(true, std::memory_order_release);
   }
+  cv_.notify_all();
+  work_cv_.notify_all();
+  // Connections still waiting for a session have no request in flight:
+  // answer each with a shed reply (retry elsewhere/later) and close.
   for (auto& conn : leftover) {
     write_frame(*conn, make_shed_reply(opt_.retry_after_ms),
                 opt_.write_timeout_ms);
@@ -317,17 +299,6 @@ void Server::run() {
     n_.drained.fetch_add(1);
     n_.closed.fetch_add(1);
   }
-  // Sweep the scheduler BEFORE flipping the cancel flag: queued requests
-  // get typed drain replies (their sessions wake from wait() and write
-  // them) while the executors are still pinned on in-flight work — flag
-  // first, and an executor freed by the cancel could pop a queued item
-  // and answer it `interrupted` instead of shed.
-  n_.drained.fetch_add(sched_->drain());
-  // Now flip the flag: sessions stop reading at the next request
-  // boundary, in-flight handlers stop at their next stage boundary, and
-  // executors exit once the drained scheduler runs empty.
-  draining_.store(true, std::memory_order_release);
-  cv_.notify_all();
   for (auto& t : sessions) t.join();
   for (auto& t : executors) t.join();
 }

@@ -1,24 +1,21 @@
-// The fault-tolerant multi-tenant characterization daemon.
+// The fault-tolerant characterization daemon.
 //
 // Architecture (one paragraph): the run() thread accepts connections and
 // hands them to a bounded pool of *session* threads (capacity = workers +
-// queue_depth, the PR-7 concurrency envelope); overflow is shed at accept
-// with a `retry_after_ms` reply. Each session reads framed JSON requests
-// off its connection, answers protocol errors and the `stats` verb
-// inline, and pushes real work through the admission gates of a
-// Scheduler (serve/sched.hpp): per-client token-bucket quotas, then
-// deadline-aware admission against an EWMA backlog estimate. Admitted
-// requests land in per-client queues; a separate pool of `workers`
-// *executor* threads pops them in deficit-weighted round-robin order —
-// so a flooding tenant queues behind itself, not in front of everyone —
-// runs the handler under its Watchdog and the poison-request circuit
-// breaker, and fulfills the session's wait. Every request runs under the
-// PR-2 typed-error catch, so a poisoned request costs one reply, never
-// the process. A SIGTERM drain stops accepting, sheds every queued
-// request with a typed drain reply, lets in-flight requests finish or
-// deadline out, and returns from run() with every connection closed and
-// per-client accounting conserved (accepted == served + shed for every
-// tenant).
+// queue_depth); overflow is shed at accept with a `retry_after_ms` reply.
+// Each session reads framed JSON requests off its connection, answers
+// protocol errors and the `stats` verb inline, and pushes real work onto
+// one FIFO request queue. A separate pool of `workers` *executor* threads
+// pops that queue, runs the handler under its Watchdog, and hands the
+// reply back to the waiting session — so an idle keep-alive connection
+// holds a session, never a worker. Sessions are window-of-1 (one request
+// in flight per connection), which bounds the queue by the session count
+// without a limit of its own. Every request runs under the typed-error
+// catch, so a failing request costs one reply, never the process. A
+// SIGTERM drain stops accepting, sheds every queued request with a typed
+// drain reply, lets in-flight requests finish or deadline out, and
+// returns from run() with every connection closed (accepted == shed +
+// closed).
 //
 // Failure-model testing: ServeOptions::conn_filter lets tests wrap every
 // accepted connection in a FaultConn, driving torn frames, short reads,
@@ -31,14 +28,11 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "serve/handler.hpp"
-#include "serve/sched.hpp"
 #include "serve/transport.hpp"
 
 namespace limsynth::serve {
@@ -56,24 +50,17 @@ struct ServeOptions {
   /// Slow-loris bound: first byte of a frame to its completion (ms).
   int frame_timeout_ms = 2000;
   int write_timeout_ms = 2000;
-  int retry_after_ms = 250;  ///< advertised in connection-level shed replies
+  int retry_after_ms = 250;  ///< advertised in accept and drain shed replies
   int accept_poll_ms = 50;   ///< accept/drain responsiveness granularity
-  /// Default per-client token bucket; rps <= 0 disables quotas. burst
-  /// defaults to max(rps, 1) when left at 0.
-  double quota_rps = 0.0;
-  double quota_burst = 0.0;
-  /// Per-client quota overrides by client_id (beats the default).
-  std::map<std::string, QuotaSpec> quota_overrides;
-  /// Consecutive deaths before a request fingerprint is quarantined.
-  int poison_threshold = 3;
   /// Set by the SIGTERM handler: run() drains and returns.
   const std::atomic<bool>* shutdown = nullptr;
   /// Test seam: wraps every accepted connection (e.g. in a FaultConn).
   std::function<std::unique_ptr<Conn>(std::unique_ptr<Conn>)> conn_filter;
 };
 
-/// Monotonic counters; all connections are accounted for:
-/// accepted == shed + closed once run() returns (no leaked connections).
+/// Monotonic counters; all connections and requests are accounted for
+/// once run() returns: accepted == shed + closed (no leaked connections)
+/// and requests == replies_ok + replies_error (no unanswered request).
 struct ServeStats {
   std::uint64_t accepted = 0;
   std::uint64_t shed = 0;           ///< refused with retry_after_ms
@@ -81,11 +68,8 @@ struct ServeStats {
   std::uint64_t drained = 0;        ///< requests/conns answered at drain
   std::uint64_t requests = 0;       ///< complete frames dispatched
   std::uint64_t replies_ok = 0;
-  std::uint64_t replies_error = 0;  ///< typed error replies (incl. sheds)
+  std::uint64_t replies_error = 0;  ///< typed error replies (incl. drain sheds)
   std::uint64_t deadline_exceeded = 0;  ///< watchdog kills in flight
-  std::uint64_t quota_shed = 0;         ///< token bucket refusals
-  std::uint64_t deadline_rejected = 0;  ///< admission-time deadline refusals
-  std::uint64_t quarantined = 0;        ///< poison-breaker refusals (items)
   std::uint64_t batches = 0;            ///< batch frames executed
   std::uint64_t batch_items = 0;        ///< items carried by those frames
   std::uint64_t protocol_errors = 0;  ///< oversized/garbage frames
@@ -108,19 +92,15 @@ class Server {
 
   ServeStats stats() const;
 
-  /// Per-tenant accounting snapshot (sorted by client id). After run()
-  /// returns, every row satisfies ClientCounters::conserved().
-  std::vector<ClientStatsRow> client_stats() const;
-
  private:
+  struct WorkItem;
+
   void session_loop();
   void executor_loop();
-  void serve_connection(std::unique_ptr<Conn> conn,
-                        const std::string& conn_client);
-  /// Parses, admits, and (for admitted work) waits out one frame;
+  void serve_connection(std::unique_ptr<Conn> conn);
+  /// Parses one frame, queues real work and waits out its reply;
   /// returns the reply payload.
-  std::string dispatch(const std::string& payload,
-                       const std::string& conn_client);
+  std::string dispatch(const std::string& payload);
   std::string stats_reply(const std::string& id) const;
   bool draining() const { return draining_.load(std::memory_order_acquire); }
   int session_count() const { return opt_.workers + opt_.queue_depth; }
@@ -128,23 +108,22 @@ class Server {
   Listener& listener_;
   HandlerContext ctx_;
   ServeOptions opt_;
-  PoisonBreaker breaker_;
-  std::unique_ptr<Scheduler> sched_;
 
+  // mu_ guards both queues and busy_sessions_; draining_ flips under it.
   mutable std::mutex mu_;
-  std::condition_variable cv_;
+  std::condition_variable cv_;       ///< sessions: a connection or drain
+  std::condition_variable work_cv_;  ///< executors: a request or drain
   std::deque<std::unique_ptr<Conn>> conn_queue_;
+  std::deque<std::shared_ptr<WorkItem>> work_queue_;
   int busy_sessions_ = 0;
-  std::atomic<std::uint64_t> conn_seq_{0};
   std::atomic<bool> draining_{false};
 
   // Stats counters are individually atomic; stats() snapshots them.
   struct Counters {
     std::atomic<std::uint64_t> accepted{0}, shed{0}, closed{0}, drained{0},
         requests{0}, replies_ok{0}, replies_error{0}, deadline_exceeded{0},
-        quota_shed{0}, deadline_rejected{0}, quarantined{0}, batches{0},
-        batch_items{0}, protocol_errors{0}, disconnects{0}, slow_loris{0},
-        idle_closed{0};
+        batches{0}, batch_items{0}, protocol_errors{0}, disconnects{0},
+        slow_loris{0}, idle_closed{0};
   };
   Counters n_;
 };

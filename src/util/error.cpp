@@ -14,7 +14,6 @@ const char* error_code_name(ErrorCode code) {
     case ErrorCode::kIo: return "io";
     case ErrorCode::kStaleBinding: return "stale_binding";
     case ErrorCode::kInterrupted: return "interrupted";
-    case ErrorCode::kQuarantined: return "quarantined";
   }
   return "internal";
 }
@@ -23,8 +22,7 @@ bool error_code_from_name(const std::string& name, ErrorCode* out) {
   for (ErrorCode code : {ErrorCode::kInternal, ErrorCode::kInvalidConfig,
                          ErrorCode::kNonConvergence, ErrorCode::kNumericalFault,
                          ErrorCode::kResourceExhausted, ErrorCode::kIo,
-                         ErrorCode::kStaleBinding, ErrorCode::kInterrupted,
-                         ErrorCode::kQuarantined}) {
+                         ErrorCode::kStaleBinding, ErrorCode::kInterrupted}) {
     if (name == error_code_name(code)) {
       if (out) *out = code;
       return true;
@@ -43,7 +41,6 @@ int exit_code_for(ErrorCode code) {
     case ErrorCode::kIo: return 6;
     case ErrorCode::kStaleBinding: return 7;
     case ErrorCode::kInterrupted: return 8;
-    case ErrorCode::kQuarantined: return 9;
   }
   return 1;
 }

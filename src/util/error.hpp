@@ -29,7 +29,6 @@ enum class ErrorCode {
   kIo,                  ///< file read/write failure
   kStaleBinding,        ///< bound design queried after its netlist changed
   kInterrupted,         ///< clean stop on SIGINT/SIGTERM (state journaled)
-  kQuarantined,         ///< request fingerprint tripped the poison breaker
 };
 
 /// Stable lower_snake name of a code ("invalid_config", ...). Used in
@@ -41,8 +40,9 @@ bool error_code_from_name(const std::string& name, ErrorCode* out);
 
 /// Process exit code for a failure of this class:
 ///   internal 1, invalid_config 2, non_convergence 3, numerical_fault 4,
-///   resource_exhausted 5, io 6, stale_binding 7, interrupted 8,
-///   quarantined 9.
+///   resource_exhausted 5, io 6, stale_binding 7, interrupted 8.
+/// Exit code 9 is retired (it was the serve daemon's `quarantined`) and
+/// is never reused.
 int exit_code_for(ErrorCode code);
 
 namespace detail {

@@ -82,14 +82,15 @@ TEST(Diag, CodeNamesRoundTripAndExitCodesAreStable) {
                            ErrorCode::kNonConvergence,
                            ErrorCode::kNumericalFault,
                            ErrorCode::kResourceExhausted, ErrorCode::kIo,
-                           ErrorCode::kStaleBinding, ErrorCode::kInterrupted,
-                           ErrorCode::kQuarantined};
+                           ErrorCode::kStaleBinding, ErrorCode::kInterrupted};
   for (ErrorCode code : all) {
     ErrorCode parsed = ErrorCode::kInternal;
     EXPECT_TRUE(error_code_from_name(error_code_name(code), &parsed));
     EXPECT_EQ(parsed, code);
   }
   EXPECT_FALSE(error_code_from_name("segfault", nullptr));
+  // Exit code 9 (`quarantined`) is retired: the name no longer parses.
+  EXPECT_FALSE(error_code_from_name("quarantined", nullptr));
   // Documented CLI contract (README): these values must never shift.
   EXPECT_EQ(exit_code_for(ErrorCode::kInternal), 1);
   EXPECT_EQ(exit_code_for(ErrorCode::kInvalidConfig), 2);
@@ -99,7 +100,6 @@ TEST(Diag, CodeNamesRoundTripAndExitCodesAreStable) {
   EXPECT_EQ(exit_code_for(ErrorCode::kIo), 6);
   EXPECT_EQ(exit_code_for(ErrorCode::kStaleBinding), 7);
   EXPECT_EQ(exit_code_for(ErrorCode::kInterrupted), 8);
-  EXPECT_EQ(exit_code_for(ErrorCode::kQuarantined), 9);
 }
 
 TEST(Watchdog, DisabledBudgetNeverFires) {

@@ -17,14 +17,14 @@
 //   limsynth yield <words> <bits> <banks> <brick_words>  CSV yield curve
 //   limsynth serve --socket PATH | --port N [--workers N] [--queue N]
 //       [--deadline-ms N] [--idle-ms N] [--frame-ms N]
-//       [--quota-rps R] [--quota-burst B] [--quota-client NAME:RPS[:BURST]]
-//       [--poison-threshold N]
-//            fault-tolerant multi-tenant characterization daemon (client
-//            quotas, DRR fair scheduling, deadline admission, batch verb)
+//            fault-tolerant characterization daemon (one FIFO request
+//            queue, accept-time shedding with retry_after_ms, batch verb)
 //   limsynth call --socket PATH | --port N --json '{...}' [--torn]
 //       [--timeout-ms N] [--repeat N] [--max-retries N]
 //                 one framed request, JSON reply; shed replies retried
 //                 with capped jittered backoff honoring retry_after_ms
+//
+// serve and call reject any --flag outside their own set with exit 2.
 //
 // kinds: sram6t sram8t cam10t edram
 //
@@ -45,6 +45,7 @@
 #include <cstring>
 #include <atomic>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 
 #include "arch/chip.hpp"
@@ -159,9 +160,6 @@ int usage() {
                "  limsynth serve --socket PATH | --port N [--workers N]\n"
                "      [--queue N] [--deadline-ms N] [--idle-ms N]"
                " [--frame-ms N]\n"
-               "      [--quota-rps R] [--quota-burst B]"
-               " [--quota-client NAME:RPS[:BURST]]\n"
-               "      [--poison-threshold N]\n"
                "  limsynth call --socket PATH | --port N --json '{...}'\n"
                "      [--torn] [--timeout-ms N] [--repeat N]"
                " [--max-retries N]\n"
@@ -191,6 +189,23 @@ double flag_value(int argc, char** argv, const char* flag, double fallback) {
   for (int i = 0; i + 1 < argc; ++i)
     if (std::strcmp(argv[i], flag) == 0) return std::atof(argv[i + 1]);
   return fallback;
+}
+
+/// Rejects any `--flag` argument outside `known` (the global --cache-dir
+/// is always allowed) with invalid_config, so a removed or misspelled
+/// option fails loudly instead of being silently ignored.
+void reject_unknown_flags(int argc, char** argv,
+                          std::initializer_list<const char*> known) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--", 2) != 0 ||
+        std::strcmp(argv[i], "--cache-dir") == 0)
+      continue;
+    bool ok = false;
+    for (const char* flag : known) ok = ok || std::strcmp(argv[i], flag) == 0;
+    if (!ok)
+      LIMS_FAIL(ErrorCode::kInvalidConfig,
+                "unknown flag " << argv[i] << " for " << argv[0]);
+  }
 }
 
 /// String value of `--flag <value>`, or empty when absent.
@@ -778,6 +793,9 @@ serve::Endpoint parse_endpoint(int argc, char** argv) {
 // brick cache stay resident; concurrent clients get framed JSON replies.
 // Runs until SIGINT/SIGTERM, then drains gracefully and exits 8.
 int cmd_serve(int argc, char** argv) {
+  reject_unknown_flags(argc, argv,
+                       {"--socket", "--port", "--workers", "--queue",
+                        "--deadline-ms", "--idle-ms", "--frame-ms"});
   install_interrupt_handlers();
   const serve::Endpoint ep = parse_endpoint(argc, argv);
 
@@ -791,29 +809,9 @@ int cmd_serve(int argc, char** argv) {
       static_cast<int>(flag_value(argc, argv, "--idle-ms", 30000.0));
   sopt.frame_timeout_ms =
       static_cast<int>(flag_value(argc, argv, "--frame-ms", 2000.0));
-  sopt.quota_rps = flag_value(argc, argv, "--quota-rps", 0.0);
-  sopt.quota_burst = flag_value(argc, argv, "--quota-burst", 0.0);
-  sopt.poison_threshold =
-      static_cast<int>(flag_value(argc, argv, "--poison-threshold", 3.0));
-  // Repeatable per-client overrides: --quota-client NAME:RPS[:BURST].
-  for (int i = 0; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--quota-client") != 0) continue;
-    const std::string spec = argv[i + 1];
-    const std::size_t c1 = spec.find(':');
-    LIMS_CHECK_MSG(c1 != std::string::npos && c1 > 0,
-                   "--quota-client wants NAME:RPS[:BURST], got \""
-                       << spec << "\"");
-    const std::size_t c2 = spec.find(':', c1 + 1);
-    serve::QuotaSpec q;
-    q.rps = std::atof(spec.substr(c1 + 1).c_str());
-    if (c2 != std::string::npos) q.burst = std::atof(spec.substr(c2 + 1).c_str());
-    sopt.quota_overrides[spec.substr(0, c1)] = q;
-  }
   sopt.shutdown = &g_interrupted;
   LIMS_CHECK_MSG(sopt.workers >= 1 && sopt.queue_depth >= 1,
                  "--workers and --queue must be >= 1");
-  LIMS_CHECK_MSG(sopt.poison_threshold >= 1,
-                 "--poison-threshold must be >= 1");
 
   // Resident state shared by every request (the MemSPICE split: build
   // once, answer queries fast).
@@ -836,8 +834,7 @@ int cmd_serve(int argc, char** argv) {
   std::fprintf(stderr,
                "# serve drained: accepted=%llu shed=%llu closed=%llu"
                " drained=%llu requests=%llu ok=%llu error=%llu"
-               " deadline=%llu quota_shed=%llu deadline_rejected=%llu"
-               " quarantined=%llu batches=%llu batch_items=%llu"
+               " deadline=%llu batches=%llu batch_items=%llu"
                " protocol=%llu disconnects=%llu slow_loris=%llu\n",
                static_cast<unsigned long long>(s.accepted),
                static_cast<unsigned long long>(s.shed),
@@ -847,26 +844,11 @@ int cmd_serve(int argc, char** argv) {
                static_cast<unsigned long long>(s.replies_ok),
                static_cast<unsigned long long>(s.replies_error),
                static_cast<unsigned long long>(s.deadline_exceeded),
-               static_cast<unsigned long long>(s.quota_shed),
-               static_cast<unsigned long long>(s.deadline_rejected),
-               static_cast<unsigned long long>(s.quarantined),
                static_cast<unsigned long long>(s.batches),
                static_cast<unsigned long long>(s.batch_items),
                static_cast<unsigned long long>(s.protocol_errors),
                static_cast<unsigned long long>(s.disconnects),
                static_cast<unsigned long long>(s.slow_loris));
-  // Per-tenant accounting flush: one conserved line per client so a
-  // post-mortem can attribute load without the stats verb.
-  for (const serve::ClientStatsRow& row : server.client_stats())
-    std::fprintf(stderr,
-                 "# serve client %s: accepted=%llu served=%llu shed=%llu"
-                 " quarantined=%llu conserved=%s\n",
-                 row.id.c_str(),
-                 static_cast<unsigned long long>(row.n.accepted),
-                 static_cast<unsigned long long>(row.n.served()),
-                 static_cast<unsigned long long>(row.n.shed()),
-                 static_cast<unsigned long long>(row.n.quarantined),
-                 row.n.conserved() ? "yes" : "NO");
   print_store_stats();
   // run() only returns on the drain path, so the exit is the stable
   // interrupted code — scripts treat it exactly like an interrupted dse.
@@ -878,6 +860,9 @@ int cmd_serve(int argc, char** argv) {
 // (shed replies land on resource_exhausted, 5). --torn sends half a
 // frame and hangs up — the CI smoke's misbehaving client.
 int cmd_call(int argc, char** argv) {
+  reject_unknown_flags(argc, argv,
+                       {"--socket", "--port", "--json", "--torn",
+                        "--timeout-ms", "--repeat", "--max-retries"});
   const serve::Endpoint ep = parse_endpoint(argc, argv);
   const std::string json = flag_string(argc, argv, "--json");
   const int timeout_ms =
