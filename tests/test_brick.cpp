@@ -211,17 +211,22 @@ TEST_P(FamilyCoverage, EstimatorTracksGolden) {
       << b.spec.name() << " energy " << est.read_energy << " vs " << rd.energy;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Family, FamilyCoverage,
-    ::testing::Values(
-        FamilyCase{BitcellKind::kSram6T, 16, 10, 1},
-        FamilyCase{BitcellKind::kSram6T, 32, 8, 4},
-        FamilyCase{BitcellKind::kSram8T, 24, 7, 3},   // non-multiple-of-8
-        FamilyCase{BitcellKind::kSram8T, 64, 32, 2},  // wide
-        FamilyCase{BitcellKind::kSram8T, 128, 4, 1},  // tall and narrow
-        FamilyCase{BitcellKind::kCamNor10T, 16, 10, 1},
-        FamilyCase{BitcellKind::kCamNor10T, 32, 12, 2},
-        FamilyCase{BitcellKind::kEdram1T1C, 32, 16, 2}));
+// A static array, so the three padding bytes after `kind` are zero: gtest
+// names each case after the raw bytes of its FamilyCase, and stack
+// temporaries would put whatever the stack held into the test names.
+const FamilyCase kFamilyCases[] = {
+    {BitcellKind::kSram6T, 16, 10, 1},
+    {BitcellKind::kSram6T, 32, 8, 4},
+    {BitcellKind::kSram8T, 24, 7, 3},   // non-multiple-of-8
+    {BitcellKind::kSram8T, 64, 32, 2},  // wide
+    {BitcellKind::kSram8T, 128, 4, 1},  // tall and narrow
+    {BitcellKind::kCamNor10T, 16, 10, 1},
+    {BitcellKind::kCamNor10T, 32, 12, 2},
+    {BitcellKind::kEdram1T1C, 32, 16, 2},
+};
+
+INSTANTIATE_TEST_SUITE_P(Family, FamilyCoverage,
+                         ::testing::ValuesIn(kFamilyCases));
 
 TEST(Golden, StackingSlowsAndCostsEnergy) {
   const Brick s1 = compile_brick({BitcellKind::kSram8T, 16, 10, 1}, proc());
