@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "brick/brick.hpp"
 #include "brick/cache.hpp"
 #include "brick/estimator.hpp"
 #include "brick/golden.hpp"
 #include "brick/library_gen.hpp"
+#include "circuit/circuit.hpp"
+#include "circuit/transient.hpp"
 #include "tech/process.hpp"
 #include "util/units.hpp"
 
@@ -253,6 +257,87 @@ TEST(Golden, CamMatchFires) {
   EXPECT_THROW(
       golden_match(compile_brick({BitcellKind::kSram8T, 16, 10, 1}, proc())),
       Error);
+}
+
+// Exact golden outputs, pinned as hexfloats so any change to the transient
+// solver's arithmetic (stamp order, elimination order, zero skipping) shows
+// up bit for bit: the Table 1 bricks, the Section 5 CAM brick, and the two
+// gate-level circuits of test_circuit's InverterChainPropagates and
+// WireSlowsFarEnd.
+TEST(Golden, MeasurementsPinnedBitForBit) {
+  struct Pinned {
+    int words, bits, stack;
+    double read_delay, read_energy, write_delay, write_energy;
+  };
+  const Pinned table1[] = {
+      {16, 10, 1, 0x1.14506a455926p-32, 0x1.6d69118ca3118p-41,
+       0x1.5ebcc56fcb8d3p-33, 0x1.eaf2e6f9a0318p-42},
+      {16, 10, 4, 0x1.2de4c18e55418p-32, 0x1.db2cde9cd3d7bp-41,
+       0x1.6d36385b260cbp-33, 0x1.30f1d31899c2cp-41},
+      {16, 10, 8, 0x1.4b740a93dcebep-32, 0x1.365a4cb1aee38p-40,
+       0x1.8285123076c4bp-33, 0x1.7ae1dbb41d902p-41},
+      {32, 12, 1, 0x1.41c7825391fb6p-32, 0x1.cfc45ce7ba657p-41,
+       0x1.6ecead362fa45p-33, 0x1.301c2da0fc502p-41},
+      {32, 12, 4, 0x1.696dd790f503ap-32, 0x1.342fa1017096cp-40,
+       0x1.83789776aa857p-33, 0x1.71365e83b41a3p-41},
+      {32, 12, 8, 0x1.96270c317241cp-32, 0x1.9a70470cff8a6p-40,
+       0x1.a43918eb67c8dp-33, 0x1.c2d36891b4fc5p-41},
+  };
+  for (const Pinned& p : table1) {
+    SCOPED_TRACE(std::to_string(p.words) + "x" + std::to_string(p.bits) +
+                 " stack " + std::to_string(p.stack));
+    const Brick b = compile_brick(
+        {BitcellKind::kSram8T, p.words, p.bits, p.stack}, proc());
+    const GoldenMeasurement rd = golden_read(b);
+    const GoldenMeasurement wr = golden_write(b);
+    EXPECT_EQ(rd.delay, p.read_delay);
+    EXPECT_EQ(rd.energy, p.read_energy);
+    EXPECT_EQ(wr.delay, p.write_delay);
+    EXPECT_EQ(wr.energy, p.write_energy);
+  }
+
+  const GoldenMeasurement match = golden_match(
+      compile_brick({BitcellKind::kCamNor10T, 16, 10, 1}, proc()));
+  EXPECT_EQ(match.delay, 0x1.d988faed95319p-33);
+  EXPECT_EQ(match.energy, 0x1.049eea6558a54p-39);
+
+  using circuit::Circuit;
+  using circuit::NodeId;
+  {
+    Circuit ckt(proc());
+    const NodeId in = ckt.add_node("in");
+    const NodeId a = ckt.add_node("a");
+    const NodeId b = ckt.add_node("b");
+    const NodeId c = ckt.add_node("c");
+    ckt.add_inverter(in, a, 1.0);
+    ckt.add_inverter(a, b, 2.0);
+    ckt.add_inverter(b, c, 4.0);
+    ckt.add_cap(c, 10 * fF);
+    ckt.add_ramp_input(in, 30 * ps, 15 * ps, true);
+    circuit::TransientConfig cfg;
+    cfg.t_stop = 1e-9;
+    cfg.waveform_stride = 1;
+    const auto res = circuit::simulate(ckt, cfg);
+    EXPECT_EQ(res.energy(), 0x1.acbf5318261bp-47);
+    EXPECT_EQ(res.final_voltage(a), 0x1.21e0190b6bc39p-82);
+    EXPECT_EQ(res.final_voltage(b), 0x1.333333283f6c5p+0);
+    EXPECT_EQ(res.final_voltage(c), 0x1.f63b6d8ea9b46p-92);
+  }
+  {
+    Circuit ckt(proc());
+    const NodeId in = ckt.add_node("in");
+    const NodeId drv = ckt.add_node("drv");
+    ckt.add_inverter(in, drv, 4.0);
+    const NodeId far = ckt.add_wire(drv, 500e-6, 8, 0.0, "bus");
+    ckt.add_ramp_input(in, 30 * ps, 15 * ps, false);
+    circuit::TransientConfig cfg;
+    cfg.t_stop = 2e-9;
+    cfg.waveform_stride = 1;
+    const auto res = circuit::simulate(ckt, cfg);
+    EXPECT_EQ(res.energy(), 0x1.50d0c64bd5745p-43);
+    EXPECT_EQ(res.final_voltage(drv), 0x1.3333290fbbe25p+0);
+    EXPECT_EQ(res.final_voltage(far), 0x1.333325299adcp+0);
+  }
 }
 
 // ----------------------------------------------------------------- eDRAM
