@@ -6,6 +6,14 @@
 // and accurate to well under a percent on the RC-dominated circuits that
 // bricks produce — more than enough fidelity gap over the analytic
 // estimator to play the reference role SPICE plays in the paper.
+//
+// Each step solves the nodal system with a sparse LU in natural node order.
+// Its pattern and fill are built once per dt attempt. Its values are
+// refactored only on steps where some device's switch fraction changed;
+// every other step is one forward and one back substitution. The matrix is
+// strictly diagonally dominant, so the factorization never pivots, and it
+// keeps a fixed operation order, so every result is bit-identical to a
+// dense partial-pivot LU of the same matrix (rules in transient.cpp).
 #pragma once
 
 #include <vector>

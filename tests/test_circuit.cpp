@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "circuit/circuit.hpp"
 #include "circuit/elmore.hpp"
@@ -122,6 +123,53 @@ TEST(Transient, RcStepResponseMatchesAnalytic) {
   // Energy drawn from vdd for charging C to vdd is C*vdd^2 (half stored,
   // half dissipated).
   EXPECT_NEAR(res.energy(), C * p.vdd * p.vdd, 0.05 * C * p.vdd * p.vdd);
+}
+
+TEST(Transient, StepIntoRcTreeCrossesHalfwayWithinElmore) {
+  // A step through a driver resistor into an RC tree (a wire with a side
+  // branch, resistors and caps only): the Elmore delay bounds the 50%
+  // delay at every node from above (Gupta et al., 1997).
+  const tech::Process p = proc();
+  Circuit ckt(p);
+  const NodeId drv = ckt.add_node("drv");
+  const double r_drv = 2 * kOhm;
+  ckt.add_resistor(ckt.vdd(), drv, r_drv);
+  const int trunk_segments = 8;
+  const double trunk_len = 400e-6;
+  const auto first_trunk = static_cast<NodeId>(ckt.node_count());
+  const NodeId far = ckt.add_wire(drv, trunk_len, trunk_segments, 0.0, "trunk");
+  const NodeId mid = first_trunk + 3;
+  const int side_segments = 4;
+  const double side_len = 200e-6, side_tap = 2 * fF;
+  ckt.add_wire(mid, side_len, side_segments, side_tap, "side");
+
+  // The same tree, node for node, with add_wire's pi model: half a
+  // segment's cap at each end of every segment.
+  const double r_trunk = p.r_wire * trunk_len / trunk_segments;
+  const double c_trunk = p.c_wire * trunk_len / trunk_segments;
+  const double r_side = p.r_wire * side_len / side_segments;
+  const double c_side = p.c_wire * side_len / side_segments;
+  RcTree tree(r_drv, 0.5 * c_trunk);
+  int node = 0, tree_mid = 0;
+  for (int i = 0; i < trunk_segments; ++i) {
+    node = tree.add_node(node, r_trunk,
+                         (i == trunk_segments - 1 ? 0.5 : 1.0) * c_trunk);
+    if (i == 3) tree_mid = node;
+  }
+  const int tree_far = node;
+  node = tree.add_node(tree_mid, 0.0, 0.5 * c_side);  // side wire's near end
+  for (int i = 0; i < side_segments; ++i)
+    node = tree.add_node(node, r_side,
+                         (i == side_segments - 1 ? 0.5 : 1.0) * c_side + side_tap);
+
+  TransientConfig cfg;
+  cfg.t_stop = 5.0 * tree.elmore(tree_far);
+  cfg.waveform_stride = 1;
+  cfg.dc_settle = 0.0;  // every node starts at 0 V: a true step
+  const TransientResult res = simulate(ckt, cfg);
+  const double t50 = res.cross_time(far, 0.5, true);
+  EXPECT_GT(t50, 0.0);
+  EXPECT_LE(t50, tree.elmore(tree_far));
 }
 
 TEST(Transient, InverterInvertsAndDelayScalesWithLoad) {
@@ -303,6 +351,57 @@ TEST(TransientGuards, NonFiniteVoltageRaisesNumericalFault) {
     EXPECT_NE(std::string(e.what()).find("2 dt-halving retries"),
               std::string::npos);
   }
+}
+
+TEST(TransientGuards, NanGateMidRunRaisesNumericalFault) {
+  // A gate source that turns NaN after 100 ps poisons its device's
+  // conductance mid-run. That step refactors (a NaN switch fraction never
+  // equals the factored one), the drain's pivot is NaN, and after the
+  // retries the fault names the first non-finite node.
+  const auto fault_node = [](const Circuit& ckt) {
+    TransientConfig cfg;
+    cfg.t_stop = 0.3e-9;
+    cfg.max_dt_retries = 2;
+    try {
+      simulate(ckt, cfg);
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kNumericalFault);
+      const std::string what = e.what();
+      EXPECT_NE(what.find("2 dt-halving retries"), std::string::npos);
+      const auto at = what.find("non-finite voltage on node ");
+      if (at == std::string::npos) return what;
+      const auto name = at + std::string("non-finite voltage on node ").size();
+      return what.substr(name, what.find(' ', name) - name);
+    }
+    ADD_FAILURE() << "expected numerical fault";
+    return std::string();
+  };
+  const auto poison = [](Circuit& ckt, NodeId drain) {
+    const NodeId gate = ckt.add_node("gate");
+    ckt.add_resistor(ckt.vdd(), drain, 1 * kOhm);
+    ckt.add_cap(drain, 1 * fF);
+    ckt.add_device(DeviceType::kNmos, gate, drain, ckt.gnd(), 1 * kOhm);
+    ckt.add_pwl(gate, {{0.0, 0.0}, {100 * ps, 0.0}, {100 * ps, std::nan("")}});
+  };
+
+  Circuit single(proc());
+  poison(single, single.add_node("drain"));
+  EXPECT_EQ(fault_node(single), "drain");
+
+  // A NaN pivot turns every later unknown NaN (as a dense elimination
+  // does: each later multiplier is 0 * NaN), and back substitution carries
+  // that into `victim` through its coupling to `tail`, although no path
+  // joins `victim` to the drain. The fault names `victim`, as it always has.
+  Circuit coupled(proc());
+  const NodeId victim = coupled.add_node("victim");
+  const NodeId drain = coupled.add_node("drain");
+  const NodeId tail = coupled.add_node("tail");
+  coupled.add_resistor(victim, tail, 1 * kOhm);
+  coupled.add_resistor(coupled.vdd(), tail, 1 * kOhm);
+  coupled.add_cap(victim, 1 * fF);
+  coupled.add_cap(tail, 1 * fF);
+  poison(coupled, drain);
+  EXPECT_EQ(fault_node(coupled), "victim");
 }
 
 TEST(TransientGuards, StepBudgetRaisesResourceExhausted) {
