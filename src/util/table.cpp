@@ -55,11 +55,11 @@ void Table::print(std::ostream& os) const {
   print_sep();
   print_cells(header_);
   print_sep();
-  for (const auto& row : rows_) {
-    if (row.separator) {
+  for (std::size_t r = 0; r < rows_.size(); ++r) {
+    if (!rows_[r].separator) {
+      print_cells(rows_[r].cells);
+    } else if (r + 1 < rows_.size()) {  // the closing rule follows the last
       print_sep();
-    } else {
-      print_cells(row.cells);
     }
   }
   print_sep();

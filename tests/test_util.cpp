@@ -231,6 +231,17 @@ TEST(Table, RendersAlignedRows) {
   EXPECT_EQ(t.row_count(), 3u);
 }
 
+TEST(Table, TrailingSeparatorDoesNotDoubleTheClosingRule) {
+  Table t({"cfg", "delay"});
+  t.add_row({"A", "247 ps"});
+  t.add_separator();
+  std::ostringstream os;
+  t.print(os);
+  const std::string rule = "+-----+--------+\n";
+  const std::string row = "| A   | 247 ps |\n";
+  EXPECT_EQ(os.str(), rule + "| cfg |  delay |\n" + rule + row + rule);
+}
+
 TEST(Table, RejectsBadArity) {
   Table t({"a", "b"});
   EXPECT_THROW(t.add_row({"only-one"}), Error);

@@ -175,7 +175,7 @@ tech::BitcellKind parse_kind(const std::string& s) {
   if (s == "sram8t") return tech::BitcellKind::kSram8T;
   if (s == "cam10t") return tech::BitcellKind::kCamNor10T;
   if (s == "edram") return tech::BitcellKind::kEdram1T1C;
-  throw Error("unknown bitcell kind: " + s);
+  LIMS_FAIL(ErrorCode::kInvalidConfig, "unknown bitcell kind: " << s);
 }
 
 bool has_flag(int argc, char** argv, const char* flag) {
@@ -217,6 +217,7 @@ std::string flag_string(int argc, char** argv, const char* flag) {
 
 int cmd_brick(int argc, char** argv) {
   if (argc < 4) return usage();
+  reject_unknown_flags(argc, argv, {"--golden", "--lib"});
   const tech::Process process = tech::default_process();
   brick::BrickSpec spec;
   spec.bitcell = parse_kind(argv[1]);
