@@ -7,8 +7,8 @@
 #include <iostream>
 
 #include "arch/chip.hpp"
-#include "bench_args.hpp"
 #include "spgemm/generate.hpp"
+#include "util/args.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
@@ -20,7 +20,10 @@ int main(int argc, char** argv) {
   const tech::StdCellLib cells(process);
   const arch::ChipModel chip = arch::build_lim_chip(process, cells);
 
-  Rng rng(benchargs::seed_from_args(argc, argv, 21));
+  Rng rng(args::parse_or_exit(
+              {"bench_ablation_spgemm", {{"--seed", args::Type::kU64, "N"}}},
+              argc, argv)
+              .get_u64("--seed", 21));
   const spgemm::SparseMatrix a =
       spgemm::gen_rmat(12, 26 * 4096, 0.55, 0.18, 0.18, rng);
 

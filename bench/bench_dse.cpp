@@ -29,11 +29,11 @@
 #include <thread>
 #include <vector>
 
-#include "bench_args.hpp"
 #include "brick/cache.hpp"
 #include "brick/store.hpp"
 #include "lim/checkpoint.hpp"
 #include "lim/dse.hpp"
+#include "util/args.hpp"
 #include "util/fs.hpp"
 #include "util/jsonl.hpp"
 
@@ -100,7 +100,9 @@ SweepRun run_sweep(const std::vector<lim::PartitionChoice>& choices,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool check = benchargs::has_flag(argc, argv, "--check");
+  const bool check =
+      args::parse_or_exit({"bench_dse", {{"--check"}}}, argc, argv)
+          .has("--check");
   const std::vector<lim::PartitionChoice> choices = make_choices();
   const int kJobs = 8;
 

@@ -21,9 +21,9 @@
 #include <fstream>
 #include <iostream>
 
-#include "bench_args.hpp"
 #include "brick/golden.hpp"
 #include "lim/flow.hpp"
+#include "util/args.hpp"
 #include "util/csv.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -63,7 +63,10 @@ double flow_fmax(const lim::SramConfig& cfg, const tech::Process& process,
 
 int main(int argc, char** argv) {
   const tech::Process tt = tech::default_process();
-  const std::uint64_t seed = benchargs::seed_from_args(argc, argv, 2026);
+  const std::uint64_t seed =
+      args::parse_or_exit({"bench_fig4b", {{"--seed", args::Type::kU64, "N"}}},
+                          argc, argv)
+          .get_u64("--seed", 2026);
 
   const Config configs[] = {
       {"A 16x10 (1 brick)", {16, 10, 1, 16}},

@@ -42,7 +42,6 @@
 #include <thread>
 #include <vector>
 
-#include "bench_args.hpp"
 #include "brick/cache.hpp"
 #include "brick/store.hpp"
 #include "serve/client.hpp"
@@ -51,6 +50,7 @@
 #include "serve/transport.hpp"
 #include "tech/process.hpp"
 #include "tech/stdcell.hpp"
+#include "util/args.hpp"
 #include "util/fs.hpp"
 #include "util/jsonl.hpp"
 
@@ -157,7 +157,9 @@ void print_pass(const char* name, const PassResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool check = benchargs::has_flag(argc, argv, "--check");
+  const bool check =
+      args::parse_or_exit({"bench_serve", {{"--check"}}}, argc, argv)
+          .has("--check");
   const int kClients = 4;
   const int kPerClient = 50;
 

@@ -25,13 +25,13 @@
 #include <thread>
 #include <vector>
 
-#include "bench_args.hpp"
 #include "evsim/annotate.hpp"
 #include "evsim/crosscheck.hpp"
 #include "lim/sram_builder.hpp"
 #include "seu/batch.hpp"
 #include "seu/campaign.hpp"
 #include "synth/synth.hpp"
+#include "util/args.hpp"
 #include "util/csv.hpp"
 #include "util/jsonl.hpp"
 #include "util/rng.hpp"
@@ -41,10 +41,6 @@
 using namespace limsynth;
 
 namespace {
-
-std::uint64_t low_mask(std::size_t bits) {
-  return bits >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << bits) - 1);
-}
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -63,16 +59,7 @@ struct Rig {
       : design(lim::build_sram(cfg, process, cells)) {
     synth::synthesize(design.nl, design.lib, cells);
     ann = evsim::annotate_delays(design.nl, design.lib, cells);
-    Rng rng(seed);
-    for (int c = 0; c < cycles; ++c) {
-      trace.set_bus(c, design.raddr,
-                    rng.next_u64() & low_mask(design.raddr.size()));
-      trace.set_bus(c, design.waddr,
-                    rng.next_u64() & low_mask(design.waddr.size()));
-      trace.set_bus(c, design.wdata,
-                    rng.next_u64() & low_mask(design.wdata.size()));
-      trace.set(c, design.wen, rng.chance(0.5));
-    }
+    trace = seu::random_trace(design, cycles, seed);
     rig.design = &design;
     rig.cells = &cells;
     rig.ann = &ann;
@@ -105,9 +92,15 @@ std::vector<seu::InjectionSpec> make_macro_specs(const lim::SramConfig& cfg,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::uint64_t seed = benchargs::seed_from_args(argc, argv, 20150608);
-  const bool check = benchargs::has_flag(argc, argv, "--check");
-  const bool batch = !benchargs::has_flag(argc, argv, "--no-batch");
+  const args::Args a = args::parse_or_exit(
+      {"bench_seu",
+       {{"--seed", args::Type::kU64, "N"},
+        {"--check"},
+        {"--no-batch"}}},
+      argc, argv);
+  const std::uint64_t seed = a.get_u64("--seed", 20150608);
+  const bool check = a.has("--check");
+  const bool batch = !a.has("--no-batch");
   const int kSamples = 600;
   const int kCycles = 40;
 

@@ -20,9 +20,9 @@
 #include <fstream>
 #include <iostream>
 
-#include "bench_args.hpp"
 #include "brick/estimator.hpp"
 #include "lim/yield.hpp"
+#include "util/args.hpp"
 #include "util/csv.hpp"
 #include "util/jsonl.hpp"
 #include "util/table.hpp"
@@ -39,11 +39,14 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool check = benchargs::has_flag(argc, argv, "--check");
+  const args::Args a = args::parse_or_exit(
+      {"bench_yield", {{"--seed", args::Type::kU64, "N"}, {"--check"}}}, argc,
+      argv);
+  const bool check = a.has("--check");
   const tech::Process process = tech::default_process();
   lim::FullYieldOptions opt;
   opt.chips = 400;
-  opt.seed = benchargs::seed_from_args(argc, argv, 20150608);  // DAC'15
+  opt.seed = a.get_u64("--seed", 20150608);  // DAC'15
   // A deliberately dirty process (the default 0.2/cm2 is invisible at
   // sub-mm2 arrays): a few defects per chip on average.
   opt.defect_density_per_m2 = 2e8;

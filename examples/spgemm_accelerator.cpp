@@ -6,20 +6,25 @@
 // Usage: spgemm_accelerator [scale] [avg_degree]
 //   Builds a 2^scale-node R-MAT graph (default scale 12, degree 8).
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 
 #include "arch/chip.hpp"
 #include "spgemm/generate.hpp"
 #include "spgemm/reference.hpp"
+#include "util/args.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
 using namespace limsynth;
 
 int main(int argc, char** argv) {
-  const int scale = argc > 1 ? std::atoi(argv[1]) : 12;
-  const int degree = argc > 2 ? std::atoi(argv[2]) : 8;
+  const args::Args cli = args::parse_or_exit(
+      {"spgemm_accelerator",
+       {{"rmat_scale", args::Type::kInt, "", true},
+        {"avg_degree", args::Type::kInt, "", true}}},
+      argc, argv);
+  const int scale = cli.get_int("rmat_scale", 12);
+  const int degree = cli.get_int("avg_degree", 8);
 
   Rng rng(99);
   const spgemm::SparseMatrix a = spgemm::gen_rmat(

@@ -7,18 +7,23 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 
 #include "lim/dse.hpp"
+#include "util/args.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
 using namespace limsynth;
 
 int main(int argc, char** argv) {
-  const int words = argc > 1 ? std::atoi(argv[1]) : 512;
-  const int bits = argc > 2 ? std::atoi(argv[2]) : 16;
+  const args::Args a = args::parse_or_exit(
+      {"sram_design_space",
+       {{"words", args::Type::kInt, "", true},
+        {"bits", args::Type::kInt, "", true}}},
+      argc, argv);
+  const int words = a.get_int("words", 512);
+  const int bits = a.get_int("bits", 16);
   const tech::Process process = tech::default_process();
 
   // Sweep every brick shape that divides the array, for SRAM and eDRAM.

@@ -1,10 +1,13 @@
 #include "lim/sram_builder.hpp"
 
+#include <algorithm>
+
 #include "brick/cache.hpp"
 #include "brick/library_gen.hpp"
 #include "liberty/characterize.hpp"
 #include "netlist/generators.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace limsynth::lim {
 
@@ -298,6 +301,22 @@ SramDesign build_sram(const SramConfig& cfg, const tech::Process& process,
     nl.add_port("rdata" + std::to_string(j), netlist::PortDir::kOutput,
                 d.rdata[static_cast<std::size_t>(j)]);
   return d;
+}
+
+std::vector<SramCycle> random_cycles(const SramDesign& d, int cycles,
+                                     std::uint64_t seed) {
+  const auto mask = [](std::size_t bits) {
+    return bits >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << bits) - 1;
+  };
+  std::vector<SramCycle> trace(static_cast<std::size_t>(std::max(cycles, 0)));
+  Rng rng(seed);
+  for (SramCycle& t : trace) {
+    t.raddr = rng.next_u64() & mask(d.raddr.size());
+    t.waddr = rng.next_u64() & mask(d.waddr.size());
+    t.wdata = rng.next_u64() & mask(d.wdata.size());
+    t.wen = rng.chance(0.5);
+  }
+  return trace;
 }
 
 }  // namespace limsynth::lim

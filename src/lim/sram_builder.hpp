@@ -82,4 +82,17 @@ SramDesign build_sram(const SramConfig& config, const tech::Process& process,
 /// log2 for exact powers of two; throws otherwise.
 int exact_log2(int n);
 
+/// One cycle of traffic on an SRAM's ports.
+struct SramCycle {
+  std::uint64_t raddr = 0, waddr = 0, wdata = 0;
+  bool wen = false;
+};
+
+/// The one random SRAM workload (yield verification, SEU campaigns,
+/// timing simulation): per cycle a read address, a write address and
+/// write data, each masked to its bus width, and a fair write enable,
+/// drawn from Rng(seed) in that order.
+std::vector<SramCycle> random_cycles(const SramDesign& d, int cycles,
+                                     std::uint64_t seed);
+
 }  // namespace limsynth::lim

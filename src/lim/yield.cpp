@@ -16,37 +16,6 @@
 
 namespace limsynth::lim {
 
-namespace {
-
-/// One cycle of the deterministic verification stimulus, shared verbatim
-/// by the golden, scalar, and batch replays.
-struct VerifyCycle {
-  std::uint64_t raddr = 0, waddr = 0, wdata = 0;
-  bool wen = false;
-};
-
-std::uint64_t low_mask(std::size_t bits) {
-  return bits >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << bits) - 1;
-}
-
-std::vector<VerifyCycle> make_verify_trace(const SramDesign& d, int cycles,
-                                           std::uint64_t seed) {
-  std::vector<VerifyCycle> trace;
-  trace.reserve(static_cast<std::size_t>(cycles));
-  Rng rng(seed);
-  for (int c = 0; c < cycles; ++c) {
-    VerifyCycle t;
-    t.raddr = rng.next_u64() & low_mask(d.raddr.size());
-    t.waddr = rng.next_u64() & low_mask(d.waddr.size());
-    t.wdata = rng.next_u64() & low_mask(d.wdata.size());
-    t.wen = rng.chance(0.5);
-    trace.push_back(t);
-  }
-  return trace;
-}
-
-}  // namespace
-
 double YieldResult::yield_at(double freq) const {
   LIMS_CHECK(!fmax_samples.empty());
   std::size_t pass = 0;
@@ -203,8 +172,8 @@ FullYieldResult analyze_yield_full(
     tech::StdCellLib cells(nominal);
     SramDesign design = build_sram(cfg, nominal, cells);
     synth::synthesize(design.nl, design.lib, cells);
-    const std::vector<VerifyCycle> trace =
-        make_verify_trace(design, opt.verify_cycles, opt.verify_seed);
+    const std::vector<SramCycle> trace =
+        random_cycles(design, opt.verify_cycles, opt.verify_seed);
     const int rows = design.config.rows_per_bank();
     const int code_bits = design.config.code_bits();
 
@@ -214,7 +183,7 @@ FullYieldResult analyze_yield_full(
       netlist::Simulator sim(design.nl, cells);
       for (const netlist::InstId b : design.banks)
         sim.attach(b, std::make_shared<SramBankModel>(rows, code_bits));
-      for (const VerifyCycle& t : trace) {
+      for (const SramCycle& t : trace) {
         sim.set_bus(design.raddr, t.raddr);
         sim.set_bus(design.waddr, t.waddr);
         sim.set_bus(design.wdata, t.wdata);
@@ -234,7 +203,7 @@ FullYieldResult analyze_yield_full(
         sim.attach(design.banks[b], std::move(m));
       }
       for (std::size_t c = 0; c < trace.size(); ++c) {
-        const VerifyCycle& t = trace[c];
+        const SramCycle& t = trace[c];
         sim.set_bus(design.raddr, t.raddr);
         sim.set_bus(design.waddr, t.waddr);
         sim.set_bus(design.wdata, t.wdata);
@@ -271,7 +240,7 @@ FullYieldResult analyze_yield_full(
       }
       std::uint64_t diff = 0;
       for (std::size_t c = 0; c < trace.size(); ++c) {
-        const VerifyCycle& t = trace[c];
+        const SramCycle& t = trace[c];
         sim.set_bus(design.raddr, t.raddr);
         sim.set_bus(design.waddr, t.waddr);
         sim.set_bus(design.wdata, t.wdata);

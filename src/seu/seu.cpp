@@ -123,6 +123,19 @@ void ObservedSramBank::on_clock(netlist::Simulator& sim,
   }
 }
 
+evsim::StimulusTrace random_trace(const lim::SramDesign& design, int cycles,
+                                  std::uint64_t seed) {
+  evsim::StimulusTrace trace;
+  int c = 0;
+  for (const lim::SramCycle& t : lim::random_cycles(design, cycles, seed)) {
+    trace.set_bus(c, design.raddr, t.raddr);
+    trace.set_bus(c, design.waddr, t.waddr);
+    trace.set_bus(c, design.wdata, t.wdata);
+    trace.set(c++, design.wen, t.wen);
+  }
+  return trace;
+}
+
 GoldenRun run_golden(const SeuRig& rig) {
   const lim::SramDesign& d = *rig.design;
   EventSimulator ev(d.nl, *rig.cells, *rig.ann, golden_equivalent_options());

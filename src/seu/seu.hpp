@@ -97,6 +97,11 @@ struct SeuRig {
   double run_timeout_seconds = 60.0;
 };
 
+/// lim::random_cycles as a stimulus trace: the random workload every SEU
+/// study and `limsynth simulate` replay.
+evsim::StimulusTrace random_trace(const lim::SramDesign& design, int cycles,
+                                  std::uint64_t seed);
+
 /// The fault-free reference: per-cycle read-port outputs and the final
 /// array image, recorded once and compared against by every injection.
 struct GoldenRun {

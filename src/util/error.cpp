@@ -1,5 +1,6 @@
 #include "util/error.hpp"
 
+#include <string_view>
 #include <vector>
 
 namespace limsynth {
@@ -79,6 +80,23 @@ std::string decorate_with_context(const std::string& what) {
   const std::string ctx = current_context();
   if (ctx.empty()) return what;
   return what + " [while " + ctx + "]";
+}
+
+void throw_check_failure(const char* expr, const char* file, int line,
+                         const std::string& msg) {
+  // The root is what precedes "src/util/error.cpp" in this file's own
+  // path; the build names every source of the tree the same way.
+  constexpr std::string_view self = __FILE__;
+  constexpr std::string_view tail = "src/util/error.cpp";
+  std::string_view where = file;
+  if (self.ends_with(tail)) {
+    const std::string_view root = self.substr(0, self.size() - tail.size());
+    if (where.starts_with(root)) where.remove_prefix(root.size());
+  }
+  std::ostringstream os;
+  os << where << ':' << line << ": check failed: " << expr;
+  if (!msg.empty()) os << " — " << msg;
+  throw Error(ErrorCode::kInvalidConfig, os.str());
 }
 
 }  // namespace detail

@@ -93,15 +93,13 @@ class DiagContext {
 
 namespace detail {
 
-[[noreturn]] inline void throw_check_failure(const char* expr, const char* file,
-                                             int line, const std::string& msg) {
-  std::ostringstream os;
-  os << file << ':' << line << ": check failed: " << expr;
-  if (!msg.empty()) os << " — " << msg;
-  // Checks guard input contracts (shapes, option ranges, pin names), so
-  // failures classify as rejected configuration rather than internal bugs.
-  throw Error(ErrorCode::kInvalidConfig, os.str());
-}
+/// Throws the invalid_config Error of a failed check: checks guard input
+/// contracts (shapes, option ranges, pin names), so failures classify as
+/// rejected configuration rather than internal bugs. `file` is printed
+/// relative to the repository root, so the message reads the same in
+/// every checkout.
+[[noreturn]] void throw_check_failure(const char* expr, const char* file,
+                                      int line, const std::string& msg);
 
 }  // namespace detail
 

@@ -18,6 +18,7 @@
 #include "lim/sram_builder.hpp"
 #include "netlist/generators.hpp"
 #include "power/power.hpp"
+#include "seu/seu.hpp"
 #include "synth/synth.hpp"
 #include "tech/process.hpp"
 #include "util/rng.hpp"
@@ -195,19 +196,7 @@ SramRigs make_sram_rig(Ctx& ctx, const lim::SramConfig& cfg, int cycles,
   SramRigs rig{lim::build_sram(cfg, ctx.process, ctx.cells), {}, {}};
   synth::synthesize(rig.design.nl, rig.design.lib, ctx.cells);
   rig.ann = annotate_delays(rig.design.nl, rig.design.lib, ctx.cells);
-  Rng rng(seed);
-  auto mask = [](std::size_t bits) {
-    return bits >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << bits) - 1;
-  };
-  for (int c = 0; c < cycles; ++c) {
-    rig.trace.set_bus(c, rig.design.raddr,
-                      rng.next_u64() & mask(rig.design.raddr.size()));
-    rig.trace.set_bus(c, rig.design.waddr,
-                      rng.next_u64() & mask(rig.design.waddr.size()));
-    rig.trace.set_bus(c, rig.design.wdata,
-                      rng.next_u64() & mask(rig.design.wdata.size()));
-    rig.trace.set(c, rig.design.wen, rng.chance(0.5));
-  }
+  rig.trace = seu::random_trace(rig.design, cycles, seed);
   return rig;
 }
 
@@ -370,19 +359,7 @@ TEST(Evsim, ValidatesStaMinPeriodDynamically) {
   EXPECT_TRUE(endpoint_known) << rep.timing.critical_endpoint;
 
   SramRigs rig{std::move(d), ann, {}};
-  Rng rng(7);
-  auto mask = [](std::size_t bits) {
-    return (std::uint64_t{1} << bits) - 1;
-  };
-  for (int c = 0; c < 300; ++c) {
-    rig.trace.set_bus(c, rig.design.raddr,
-                      rng.next_u64() & mask(rig.design.raddr.size()));
-    rig.trace.set_bus(c, rig.design.waddr,
-                      rng.next_u64() & mask(rig.design.waddr.size()));
-    rig.trace.set_bus(c, rig.design.wdata,
-                      rng.next_u64() & mask(rig.design.wdata.size()));
-    rig.trace.set(c, rig.design.wen, rng.chance(0.5));
-  }
+  rig.trace = seu::random_trace(rig.design, 300, 7);
 
   // At min_period every capture matches the (period-blind) golden run and
   // no setup check fires.

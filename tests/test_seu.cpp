@@ -14,7 +14,6 @@
 #include "synth/synth.hpp"
 #include "tech/process.hpp"
 #include "util/error.hpp"
-#include "util/rng.hpp"
 
 namespace limsynth::seu {
 namespace {
@@ -39,13 +38,7 @@ struct RigBundle {
       : design(lim::build_sram(cfg, process, cells)) {
     synth::synthesize(design.nl, design.lib, cells);
     ann = evsim::annotate_delays(design.nl, design.lib, cells);
-    Rng rng(trace_seed);
-    for (int c = 0; c < cycles; ++c) {
-      trace.set_bus(c, design.raddr, rng.next_u64() & low_mask(design.raddr.size()));
-      trace.set_bus(c, design.waddr, rng.next_u64() & low_mask(design.waddr.size()));
-      trace.set_bus(c, design.wdata, rng.next_u64() & low_mask(design.wdata.size()));
-      trace.set(c, design.wen, rng.chance(0.5));
-    }
+    trace = random_trace(design, cycles, trace_seed);
     rig.design = &design;
     rig.cells = &cells;
     rig.ann = &ann;

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "util/args.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
 #include "util/fs.hpp"
@@ -63,6 +64,18 @@ TEST(Diag, CheckFailuresClassifyAsInvalidConfig) {
     FAIL() << "expected throw";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kInvalidConfig);
+  }
+}
+
+TEST(Diag, CheckFailureNamesTheFileFromTheRepositoryRoot) {
+  // The message must not depend on the checkout directory: it lands in
+  // DSE journals and CSV error cells.
+  try {
+    LIMS_CHECK(false);
+    FAIL() << "expected throw";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("tests/test_util.cpp:", 0), 0u)
+        << e.what();
   }
 }
 
@@ -444,6 +457,151 @@ TEST(JournalText, CompleteFileHasNoTornTail) {
   EXPECT_FALSE(jsonl::read_journal_text(fs_temp("journal_missing.jsonl"),
                                         &text));
   std::remove(path.c_str());
+}
+
+// ------------------------------------------------------------- args
+
+const args::Command kDemo{"demo",
+                          {{"kind", args::Type::kWord, "red|green|blue"},
+                           {"count", args::Type::kInt},
+                           {.name = "scale",
+                            .type = args::Type::kDouble,
+                            .optional = true},
+                           {"--seed", args::Type::kU64, "S"},
+                           {"--jobs", args::Type::kInt, "N"},
+                           {"--rate", args::Type::kDouble, "R"},
+                           {"--out", args::Type::kString, "FILE"},
+                           {"--check"}}};
+
+args::Args parse_demo(std::vector<const char*> tokens) {
+  tokens.insert(tokens.begin(), "demo");
+  return args::parse(kDemo, static_cast<int>(tokens.size()), tokens.data());
+}
+
+/// The message `tokens` are rejected with (after checking the code), or
+/// "" when they parse.
+std::string rejection(std::vector<const char*> tokens) {
+  try {
+    parse_demo(std::move(tokens));
+    return "";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidConfig);
+    return e.what();
+  }
+}
+
+bool contains(const std::string& s, const std::string& part) {
+  return s.find(part) != std::string::npos;
+}
+
+TEST(Args, ReadsTypedValuesAndFallbacks) {
+  const args::Args a = parse_demo(
+      {"green", "3", "--seed", "7", "--check", "--out", "f.csv", "--rate",
+       "1e3"});
+  EXPECT_EQ(a.get_choice("kind"), 1);
+  EXPECT_EQ(a.get_int("count"), 3);
+  EXPECT_EQ(a.get_double("scale", 1.5), 1.5);
+  EXPECT_EQ(a.get_u64("--seed", 1), 7u);
+  EXPECT_EQ(a.get_int("--jobs", 4), 4);
+  EXPECT_EQ(a.get_double("--rate", 0.0), 1000.0);
+  EXPECT_EQ(a.get_string("--out"), "f.csv");
+  EXPECT_TRUE(a.has("--check"));
+  EXPECT_FALSE(a.has("--jobs"));
+  // Flags may come before, between and after positionals.
+  const args::Args b = parse_demo({"--jobs", "2", "red", "-4", "0.25"});
+  EXPECT_EQ(b.get_int("--jobs", 1), 2);
+  EXPECT_EQ(b.get_int("count"), -4);
+  EXPECT_EQ(b.get_double("scale", 1.0), 0.25);
+}
+
+TEST(Args, RejectsUnknownFlag) {
+  const std::string why = rejection({"red", "1", "--sed", "9"});
+  EXPECT_TRUE(contains(why, "demo")) << why;
+  EXPECT_TRUE(contains(why, "unknown flag --sed")) << why;
+}
+
+TEST(Args, RejectsDuplicateFlag) {
+  const std::string why = rejection({"red", "1", "--seed", "3", "--seed", "4"});
+  EXPECT_TRUE(contains(why, "demo: duplicate flag --seed")) << why;
+  EXPECT_TRUE(contains(rejection({"red", "1", "--check", "--check"}),
+                       "duplicate flag --check"));
+}
+
+TEST(Args, RejectsValueFlagWithoutValue) {
+  for (const auto& tokens : std::vector<std::vector<const char*>>{
+           {"red", "1", "--jobs"}, {"red", "1", "--jobs", "--check"}}) {
+    const std::string why = rejection(tokens);
+    EXPECT_TRUE(contains(why, "demo: --jobs needs a value")) << why;
+  }
+}
+
+TEST(Args, RejectsMalformedValues) {
+  const std::pair<const char*, const char*> bad[] = {
+      {"--jobs", "four"},        {"--jobs", "1e3"},
+      {"--jobs", "2.9"},         {"--jobs", "99999999999"},
+      {"--jobs", ""},            {"--seed", "-1"},
+      {"--seed", "18446744073709551616"},
+      {"--seed", "7x"},          {"--rate", "inf"},
+      {"--rate", "nan"},         {"--rate", "1.5x"},
+      {"--rate", "1e999"},
+  };
+  for (const auto& [flag, value] : bad) {
+    const std::string why = rejection({"red", "1", flag, value});
+    EXPECT_TRUE(contains(why, std::string("demo: ") + flag + ": '" + value +
+                                  "'"))
+        << flag << " " << value << ": " << why;
+  }
+  const std::string why = rejection({"red", "8x"});
+  EXPECT_TRUE(contains(why, "demo: <count>: '8x' is not an int")) << why;
+}
+
+TEST(Args, RejectsTooFewOrTooManyPositionals) {
+  EXPECT_TRUE(contains(rejection({"red"}), "demo: missing <count>"));
+  EXPECT_TRUE(contains(rejection({"red", "1", "2", "7"}),
+                       "demo: unexpected positional '7'"));
+}
+
+TEST(Args, WordPositionalAcceptsListedWordsOnly) {
+  EXPECT_EQ(parse_demo({"blue", "1"}).get_choice("kind"), 2);
+  const std::string why = rejection({"purple", "1"});
+  EXPECT_TRUE(contains(why, "'purple' is not one of red|green|blue")) << why;
+  EXPECT_TRUE(contains(rejection({"re", "1"}), "'re'"));
+}
+
+TEST(Args, U64IsExactOverTheFullRange) {
+  EXPECT_EQ(parse_demo({"red", "1", "--seed", "9007199254740993"})
+                .get_u64("--seed"),
+            9007199254740993ull);
+  EXPECT_EQ(parse_demo({"red", "1", "--seed", "18446744073709551615"})
+                .get_u64("--seed"),
+            18446744073709551615ull);
+}
+
+TEST(Args, UndeclaredOrMistypedReadIsAProgrammingError) {
+  const args::Args a = parse_demo({"red", "1"});
+  EXPECT_THROW(a.get_int("--nope", 0), Error);
+  EXPECT_THROW(a.get_int("--seed", 0), Error);  // declared as kU64
+  EXPECT_THROW(a.has("nope"), Error);
+}
+
+TEST(Args, GlobalsAreAcceptedAlongsideTheCommand) {
+  const args::Arg globals[] = {{"--cache-dir", args::Type::kString, "DIR"}};
+  const char* argv[] = {"demo", "red", "1", "--cache-dir", "store"};
+  const args::Args a = args::parse(kDemo, 5, argv, globals);
+  EXPECT_EQ(a.get_string("--cache-dir"), "store");
+  EXPECT_TRUE(contains(rejection({"red", "1", "--cache-dir", "store"}),
+                       "unknown flag --cache-dir"));
+}
+
+TEST(Args, UsageListsEveryDeclaredArgument) {
+  const args::Arg globals[] = {{"--cache-dir", args::Type::kString, "DIR"}};
+  const args::Command commands[] = {kDemo, {"other", {{"n", args::Type::kInt}}}};
+  const std::string text = args::usage("prog", commands, globals);
+  for (const char* part :
+       {"usage:", "prog demo <red|green|blue> <count> [scale]", "[--seed S]",
+        "[--jobs N]", "[--rate R]", "[--out FILE]", "[--check]",
+        "prog other <n>", "[--cache-dir DIR]"})
+    EXPECT_TRUE(contains(text, part)) << part << " missing from\n" << text;
 }
 
 }  // namespace

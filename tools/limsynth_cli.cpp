@@ -1,48 +1,13 @@
-// limsynth command-line front end.
-//
-//   limsynth brick <kind> <words> <bits> [stack]      compile + estimate
-//   limsynth brick ... --lib                          also dump the .lib
-//   limsynth sweep <words> <bits>                     DSE + Pareto front
-//   limsynth dse <words> <bits> [--csv F] [--journal F] [--resume F]
-//       [--timeout SEC] [--jobs N] ...                checkpointed DSE
-//   limsynth sram <words> <bits> <banks> <brick_words> [--verilog]
-//   limsynth simulate <words> <bits> <banks> <brick_words>
-//       [--cycles N] [--seed S] [--period NS] [--vcd FILE] [--stim FILE]
-//       [--glitch-report] [--cross-check] [--check-sta]  event-driven sim
-//   limsynth seu <words> <bits> <banks> <brick_words> [--ecc]
-//       [--campaign N] [--workers N] [--burst N] [--journal F] [--resume F]
-//       [--report F] [--timeout SEC]          SEU/SET injection campaign
-//   limsynth optimize <words> <bits> <min_fmax_MHz> [energy|area|delay]
-//   limsynth spgemm <rmat_scale> <avg_degree>         both chips, one run
-//   limsynth yield <words> <bits> <banks> <brick_words>  CSV yield curve
-//   limsynth serve --socket PATH | --port N [--workers N] [--queue N]
-//       [--deadline-ms N] [--idle-ms N] [--frame-ms N]
-//            fault-tolerant characterization daemon (one FIFO request
-//            queue, accept-time shedding with retry_after_ms, batch verb)
-//   limsynth call --socket PATH | --port N --json '{...}' [--torn]
-//       [--timeout-ms N] [--repeat N] [--max-retries N]
-//                 one framed request, JSON reply; shed replies retried
-//                 with capped jittered backoff honoring retry_after_ms
-//
-// serve and call reject any --flag outside their own set with exit 2.
-//
-// kinds: sram6t sram8t cam10t edram
-//
-// Exit codes follow the limsynth error taxonomy (see README):
-//   0 ok, 1 internal, 2 invalid config/usage, 3 non-convergence,
-//   4 numerical fault, 5 resource exhausted (timeouts), 6 I/O,
-//   7 stale binding, 8 interrupted (SIGINT/SIGTERM, state journaled).
-//
-// Every subcommand honours --cache-dir DIR (or LIMSYNTH_CACHE_DIR): a
-// crash-safe on-disk brick store shared across processes, so a cold run
-// on a warm store skips brick compilation entirely. An unusable cache
-// dir silently degrades to the in-memory cache.
+// limsynth command-line front end. Every command line is checked against
+// the subcommand tables at the bottom of this file (`limsynth` alone
+// prints them as the usage text) before any work starts; a bad flag,
+// value or positional exits 2, invalid_config. Exit codes follow the
+// error taxonomy (util/error.hpp, README).
 #include <unistd.h>
 
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <atomic>
 #include <fstream>
 #include <initializer_list>
@@ -70,6 +35,7 @@
 #include "spgemm/generate.hpp"
 #include "synth/synth.hpp"
 #include "spgemm/reference.hpp"
+#include "util/args.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
@@ -95,13 +61,12 @@ void install_interrupt_handlers() {
   sigaction(SIGTERM, &sa, nullptr);
 }
 
-/// Attaches the persistent brick store when --cache-dir or
+using enum args::Type;
+
+/// Attaches the persistent brick store when `dir` (--cache-dir) or
 /// LIMSYNTH_CACHE_DIR names a directory. Never fails: an unusable dir
 /// produces a disabled store and the cache runs memory-only.
-void attach_cache_dir(int argc, char** argv) {
-  std::string dir;
-  for (int i = 0; i + 1 < argc; ++i)
-    if (std::strcmp(argv[i], "--cache-dir") == 0) dir = argv[i + 1];
+void attach_cache_dir(std::string dir) {
   if (dir.empty()) {
     if (const char* env = std::getenv("LIMSYNTH_CACHE_DIR")) dir = env;
   }
@@ -131,99 +96,52 @@ void print_store_stats() {
                s.disabled ? " [disabled: memory-only]" : "");
 }
 
-int usage() {
-  std::fprintf(stderr,
-               "usage:\n"
-               "  limsynth brick <kind> <words> <bits> [stack] [--lib] [--golden]\n"
-               "  limsynth sweep <words> <bits>\n"
-               "  limsynth dse <words> <bits> [--csv FILE] [--journal FILE]\n"
-               "      [--resume FILE] [--timeout SEC] [--jobs N] [--chips N]\n"
-               "      [--seed S]\n"
-               "      [--ecc] [--spares N] [--d0 defects_per_cm2]\n"
-               "  limsynth sram <words> <bits> <banks> <brick_words>"
-               " [--verilog|--report|--svg]\n"
-               "  limsynth simulate <words> <bits> <banks> <brick_words>\n"
-               "      [--cycles N] [--seed S] [--period NS] [--vcd FILE]\n"
-               "      [--stim FILE] [--glitch-report] [--cross-check]"
-               " [--check-sta]\n"
-               "  limsynth seu <words> <bits> <banks> <brick_words> [--ecc]\n"
-               "      [--spares N] [--campaign N] [--cycles N] [--seed S]\n"
-               "      [--workers N] [--burst N] [--journal FILE]"
-               " [--resume FILE]\n"
-               "      [--report FILE] [--timeout SEC] [--run-timeout SEC]\n"
-               "      [--no-batch]\n"
-               "  limsynth optimize <words> <bits> <min_fmax_MHz> [energy|area|delay]\n"
-               "  limsynth spgemm <rmat_scale> <avg_degree>\n"
-               "  limsynth yield <words> <bits> <banks> <brick_words>\n"
-               "      [--chips N] [--seed S] [--d0 defects_per_cm2]\n"
-               "      [--spares N] [--ecc] [--verify-cycles N] [--no-batch]\n"
-               "  limsynth serve --socket PATH | --port N [--workers N]\n"
-               "      [--queue N] [--deadline-ms N] [--idle-ms N]"
-               " [--frame-ms N]\n"
-               "  limsynth call --socket PATH | --port N --json '{...}'\n"
-               "      [--torn] [--timeout-ms N] [--repeat N]"
-               " [--max-retries N]\n"
-               "kinds: sram6t sram8t cam10t edram\n"
-               "global: --cache-dir DIR (or LIMSYNTH_CACHE_DIR) persists\n"
-               "  compiled bricks in a crash-safe on-disk store shared\n"
-               "  across runs; an unusable dir falls back to memory-only\n");
-  return 2;
+/// The SRAM shape positionals of sram, simulate, seu and yield, followed
+/// by the command's own flags.
+std::vector<args::Arg> sram_shape_and(std::initializer_list<args::Arg> flags) {
+  std::vector<args::Arg> table = {
+      {"words", kInt}, {"bits", kInt}, {"banks", kInt}, {"brick_words", kInt}};
+  table.insert(table.end(), flags);
+  return table;
 }
 
-tech::BitcellKind parse_kind(const std::string& s) {
-  if (s == "sram6t") return tech::BitcellKind::kSram6T;
-  if (s == "sram8t") return tech::BitcellKind::kSram8T;
-  if (s == "cam10t") return tech::BitcellKind::kCamNor10T;
-  if (s == "edram") return tech::BitcellKind::kEdram1T1C;
-  LIMS_FAIL(ErrorCode::kInvalidConfig, "unknown bitcell kind: " << s);
+lim::SramConfig sram_config(const args::Args& a) {
+  return {a.get_int("words"), a.get_int("bits"), a.get_int("banks"),
+          a.get_int("brick_words")};
 }
 
-bool has_flag(int argc, char** argv, const char* flag) {
-  for (int i = 0; i < argc; ++i)
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  return false;
+/// The partitions sweep and dse explore: every brick depth that divides
+/// `words` into at most 64 stacked bricks; at least one.
+std::vector<lim::PartitionChoice> partition_choices(int words, int bits) {
+  std::vector<lim::PartitionChoice> choices;
+  for (int bw : {8, 16, 32, 64, 128})
+    if (words % bw == 0 && words / bw <= 64)
+      choices.push_back({words, bits, bw});
+  LIMS_CHECK_MSG(!choices.empty(),
+                 "no viable brick partitions for " << words << " words");
+  return choices;
 }
 
-/// Value of `--flag <value>`, or `fallback` when absent.
-double flag_value(int argc, char** argv, const char* flag, double fallback) {
-  for (int i = 0; i + 1 < argc; ++i)
-    if (std::strcmp(argv[i], flag) == 0) return std::atof(argv[i + 1]);
-  return fallback;
-}
-
-/// Rejects any `--flag` argument outside `known` (the global --cache-dir
-/// is always allowed) with invalid_config, so a removed or misspelled
-/// option fails loudly instead of being silently ignored.
-void reject_unknown_flags(int argc, char** argv,
-                          std::initializer_list<const char*> known) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--", 2) != 0 ||
-        std::strcmp(argv[i], "--cache-dir") == 0)
-      continue;
-    bool ok = false;
-    for (const char* flag : known) ok = ok || std::strcmp(argv[i], flag) == 0;
-    if (!ok)
-      LIMS_FAIL(ErrorCode::kInvalidConfig,
-                "unknown flag " << argv[i] << " for " << argv[0]);
+/// --journal FILE and --resume FILE (which resumes from FILE and, without
+/// --journal, keeps journaling to it) into a DSE or SEU options struct.
+template <class Options>
+void read_journal_flags(const args::Args& a, Options& opt) {
+  opt.journal_path = a.get_string("--journal");
+  const std::string resume_path = a.get_string("--resume");
+  if (!resume_path.empty()) {
+    opt.resume = true;
+    if (opt.journal_path.empty()) opt.journal_path = resume_path;
   }
 }
 
-/// String value of `--flag <value>`, or empty when absent.
-std::string flag_string(int argc, char** argv, const char* flag) {
-  for (int i = 0; i + 1 < argc; ++i)
-    if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
-  return "";
-}
-
-int cmd_brick(int argc, char** argv) {
-  if (argc < 4) return usage();
-  reject_unknown_flags(argc, argv, {"--golden", "--lib"});
+int cmd_brick(const args::Args& a) {
   const tech::Process process = tech::default_process();
   brick::BrickSpec spec;
-  spec.bitcell = parse_kind(argv[1]);
-  spec.words = std::atoi(argv[2]);
-  spec.bits = std::atoi(argv[3]);
-  spec.stack = (argc > 4 && argv[4][0] != '-') ? std::atoi(argv[4]) : 1;
+  // The kind words are listed in BitcellKind order.
+  spec.bitcell = static_cast<tech::BitcellKind>(a.get_choice("kind"));
+  spec.words = a.get_int("words");
+  spec.bits = a.get_int("bits");
+  spec.stack = a.get_int("stack", 1);
 
   const brick::Brick b = brick::compile_brick(spec, process);
   const brick::BrickEstimate e = brick::estimate_brick(b);
@@ -249,7 +167,7 @@ int cmd_brick(int argc, char** argv) {
   t.add_row({"bank area", strformat("%.0f um2", e.bank_area * 1e12)});
   t.print(std::cout);
 
-  if (has_flag(argc, argv, "--golden")) {
+  if (a.has("--golden")) {
     const auto rd = brick::golden_read(b);
     std::printf("golden read: %s, %s (tool error %+.1f%% / %+.1f%%)\n",
                 units::format_si(rd.delay, "s").c_str(),
@@ -257,7 +175,7 @@ int cmd_brick(int argc, char** argv) {
                 units::percent_error(e.read_delay, rd.delay),
                 units::percent_error(e.read_energy, rd.energy));
   }
-  if (has_flag(argc, argv, "--lib")) {
+  if (a.has("--lib")) {
     liberty::Library lib("cli_bricks");
     lib.add(brick::make_brick_libcell(b));
     liberty::write_liberty(lib, std::cout);
@@ -265,16 +183,11 @@ int cmd_brick(int argc, char** argv) {
   return 0;
 }
 
-int cmd_sweep(int argc, char** argv) {
-  if (argc < 3) return usage();
-  const int words = std::atoi(argv[1]);
-  const int bits = std::atoi(argv[2]);
+int cmd_sweep(const args::Args& a) {
+  const int bits = a.get_int("bits");
   const tech::Process process = tech::default_process();
-  std::vector<lim::PartitionChoice> choices;
-  for (int bw : {8, 16, 32, 64, 128})
-    if (words % bw == 0 && words / bw <= 64)
-      choices.push_back({words, bits, bw});
-  const auto points = lim::sweep_partitions(choices, process);
+  const auto points = lim::sweep_partitions(
+      partition_choices(a.get_int("words"), bits), process);
   const auto front = lim::pareto_front(points);
   Table t({"brick", "stack", "delay", "energy", "area", "pareto"});
   for (std::size_t i = 0; i < points.size(); ++i) {
@@ -295,44 +208,33 @@ int cmd_sweep(int argc, char** argv) {
 // completed point to a JSONL file, resumes from it (--resume), honours a
 // wall-clock budget (--timeout), and emits a machine-readable CSV in which
 // sick points carry their error code instead of aborting the sweep.
-int cmd_dse(int argc, char** argv) {
-  if (argc < 3) return usage();
+int cmd_dse(const args::Args& a) {
   install_interrupt_handlers();
-  const int words = std::atoi(argv[1]);
-  const int bits = std::atoi(argv[2]);
+  const int words = a.get_int("words");
+  const int bits = a.get_int("bits");
   const tech::Process process = tech::default_process();
 
   lim::SweepOptions sopt;
-  sopt.ecc = has_flag(argc, argv, "--ecc");
-  sopt.spare_rows = static_cast<int>(flag_value(argc, argv, "--spares", 0.0));
-  sopt.yield_chips = static_cast<int>(flag_value(argc, argv, "--chips", 0.0));
-  sopt.yield_seed =
-      static_cast<std::uint64_t>(flag_value(argc, argv, "--seed", 1.0));
-  const double d0_cm2 = flag_value(argc, argv, "--d0", -1.0);
+  sopt.ecc = a.has("--ecc");
+  sopt.spare_rows = a.get_int("--spares", 0);
+  sopt.yield_chips = a.get_int("--chips", 0);
+  sopt.yield_seed = a.get_u64("--seed", 1);
+  const double d0_cm2 = a.get_double("--d0", -1.0);
   if (d0_cm2 >= 0.0) sopt.defect_density_per_m2 = d0_cm2 * 1e4;
 
   lim::CheckpointOptions copt;
-  copt.journal_path = flag_string(argc, argv, "--journal");
-  const std::string resume_path = flag_string(argc, argv, "--resume");
-  if (!resume_path.empty()) {
-    copt.resume = true;
-    if (copt.journal_path.empty()) copt.journal_path = resume_path;
-  }
-  copt.timeout_seconds = flag_value(argc, argv, "--timeout", 0.0);
-  copt.jobs = static_cast<int>(flag_value(argc, argv, "--jobs", 1.0));
+  read_journal_flags(a, copt);
+  copt.timeout_seconds = a.get_double("--timeout", 0.0);
+  copt.jobs = a.get_int("--jobs", 1);
   copt.cancel = &g_interrupted;
 
-  std::vector<lim::PartitionChoice> choices;
-  for (int bw : {8, 16, 32, 64, 128})
-    if (words % bw == 0 && words / bw <= 64)
-      choices.push_back({words, bits, bw});
-  LIMS_CHECK_MSG(!choices.empty(),
-                 "no viable brick partitions for " << words << " words");
+  const std::vector<lim::PartitionChoice> choices =
+      partition_choices(words, bits);
 
   const lim::CheckpointedSweep sweep =
       lim::sweep_partitions_checkpointed(choices, process, sopt, copt);
 
-  const std::string csv_path = flag_string(argc, argv, "--csv");
+  const std::string csv_path = a.get_string("--csv");
   if (csv_path.empty()) {
     lim::write_dse_csv(sweep.points, std::cout);
   } else {
@@ -372,27 +274,25 @@ int cmd_dse(int argc, char** argv) {
   return 0;
 }
 
-int cmd_sram(int argc, char** argv) {
-  if (argc < 5) return usage();
+int cmd_sram(const args::Args& a) {
   const tech::Process process = tech::default_process();
   const tech::StdCellLib cells(process);
-  lim::SramConfig cfg{std::atoi(argv[1]), std::atoi(argv[2]),
-                      std::atoi(argv[3]), std::atoi(argv[4])};
+  const lim::SramConfig cfg = sram_config(a);
   lim::SramDesign d = lim::build_sram(cfg, process, cells);
-  if (has_flag(argc, argv, "--verilog")) {
+  if (a.has("--verilog")) {
     netlist::write_verilog(d.nl, std::cout);
     return 0;
   }
   lim::FlowOptions opt;
   opt.activity_cycles = 150;
   const lim::FlowReport rep = lim::run_sram_flow(d, cells, process, opt);
-  if (has_flag(argc, argv, "--report")) {
+  if (a.has("--report")) {
     lim::write_qor_report(d.nl, rep, std::cout);
     lim::write_timing_report(rep, std::cout);
     lim::write_power_report(rep, std::cout);
     return 0;
   }
-  if (has_flag(argc, argv, "--svg")) {
+  if (a.has("--svg")) {
     std::cout << lim::floorplan_svg(d.nl, d.lib, rep.floorplan);
     return 0;
   }
@@ -408,13 +308,11 @@ int cmd_sram(int argc, char** argv) {
 // Event-driven timing simulation of a built SRAM: stimulus replay with
 // VCD waveforms and glitch-aware power, plus the two agreement harnesses
 // (settle-engine cross-check, dynamic validation of STA's min_period).
-int cmd_simulate(int argc, char** argv) {
-  if (argc < 5) return usage();
+int cmd_simulate(const args::Args& a) {
   install_interrupt_handlers();
   const tech::Process process = tech::default_process();
   const tech::StdCellLib cells(process);
-  lim::SramConfig cfg{std::atoi(argv[1]), std::atoi(argv[2]),
-                      std::atoi(argv[3]), std::atoi(argv[4])};
+  const lim::SramConfig cfg = sram_config(a);
   lim::SramDesign d = lim::build_sram(cfg, process, cells);
 
   // Synthesis + placement + STA; no settle-based power pass — activity
@@ -429,28 +327,13 @@ int cmd_simulate(int argc, char** argv) {
   const evsim::TimingAnnotation ann =
       evsim::annotate_delays(d.nl, d.lib, cells, aopt);
 
-  const auto cycles =
-      static_cast<int>(flag_value(argc, argv, "--cycles", 200.0));
-  const auto seed =
-      static_cast<std::uint64_t>(flag_value(argc, argv, "--seed", 1.0));
-  auto mask = [](std::size_t bits) {
-    return bits >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << bits) - 1;
-  };
-  evsim::StimulusTrace trace;
-  const std::string stim_path = flag_string(argc, argv, "--stim");
-  if (!stim_path.empty()) {
-    // Replay a user trace instead of the generated random workload. The
-    // parser validates every line against the built netlist.
-    trace = evsim::load_stimulus(stim_path, d.nl);
-  } else {
-    Rng rng(seed);
-    for (int c = 0; c < cycles; ++c) {
-      trace.set_bus(c, d.raddr, rng.next_u64() & mask(d.raddr.size()));
-      trace.set_bus(c, d.waddr, rng.next_u64() & mask(d.waddr.size()));
-      trace.set_bus(c, d.wdata, rng.next_u64() & mask(d.wdata.size()));
-      trace.set(c, d.wen, rng.chance(0.5));
-    }
-  }
+  // A --stim trace replaces the generated random workload; the parser
+  // validates every line against the built netlist.
+  const std::string stim_path = a.get_string("--stim");
+  const evsim::StimulusTrace trace =
+      stim_path.empty() ? seu::random_trace(d, a.get_int("--cycles", 200),
+                                            a.get_u64("--seed", 1))
+                        : evsim::load_stimulus(stim_path, d.nl);
   auto attach_settle = [&](netlist::Simulator& sim) {
     for (netlist::InstId bank : d.banks)
       sim.attach(bank, std::make_shared<lim::SramBankModel>(
@@ -462,7 +345,7 @@ int cmd_simulate(int argc, char** argv) {
                            cfg.rows_per_bank(), cfg.code_bits()));
   };
 
-  if (has_flag(argc, argv, "--cross-check")) {
+  if (a.has("--cross-check")) {
     const evsim::CrossCheckResult res = evsim::cross_check(
         d.nl, cells, ann, trace, attach_settle, attach_event);
     std::printf("cross-check %s: %llu cycles, %llu mismatched net samples\n",
@@ -474,7 +357,7 @@ int cmd_simulate(int argc, char** argv) {
     return res.ok() ? 0 : 1;
   }
 
-  if (has_flag(argc, argv, "--check-sta")) {
+  if (a.has("--check-sta")) {
     const double mp = rep.timing.min_period;
     const evsim::StaValidation at_mp = evsim::validate_at_period(
         d.nl, cells, ann, mp, trace, attach_settle, attach_event);
@@ -502,13 +385,13 @@ int cmd_simulate(int argc, char** argv) {
   }
 
   evsim::EvsimOptions eopt;
-  const double period_ns = flag_value(argc, argv, "--period", 0.0);
+  const double period_ns = a.get_double("--period", 0.0);
   if (period_ns > 0.0) eopt.period = period_ns * 1e-9;
   evsim::EventSimulator ev(d.nl, cells, ann, eopt);
   attach_event(ev);
 
   std::ofstream vcd_file;
-  const std::string vcd_path = flag_string(argc, argv, "--vcd");
+  const std::string vcd_path = a.get_string("--vcd");
   if (!vcd_path.empty()) {
     vcd_file.open(vcd_path);
     if (!vcd_file)
@@ -549,7 +432,7 @@ int cmd_simulate(int argc, char** argv) {
     std::printf("setup violations at %.3f ns: %llu\n", period_ns,
                 static_cast<unsigned long long>(ev.setup_violations()));
 
-  if (has_flag(argc, argv, "--glitch-report")) {
+  if (a.has("--glitch-report")) {
     std::vector<netlist::NetId> worst;
     for (std::size_t n = 0; n < d.nl.nets().size(); ++n)
       if (ev.glitch_toggles(static_cast<netlist::NetId>(n)) > 0)
@@ -591,59 +474,38 @@ int cmd_simulate(int argc, char** argv) {
 // Runtime soft-error resilience: a stratified SEU/SET injection campaign
 // on the event-driven engine with live SECDED verification, reported as
 // the outcome taxonomy with Wilson intervals plus AVF-derated FIT/MTBF.
-int cmd_seu(int argc, char** argv) {
-  if (argc < 5) return usage();
+int cmd_seu(const args::Args& a) {
   install_interrupt_handlers();
   const tech::Process process = tech::default_process();
   const tech::StdCellLib cells(process);
-  lim::SramConfig cfg{std::atoi(argv[1]), std::atoi(argv[2]),
-                      std::atoi(argv[3]), std::atoi(argv[4])};
-  cfg.ecc = has_flag(argc, argv, "--ecc");
-  cfg.spare_rows =
-      static_cast<int>(flag_value(argc, argv, "--spares", 0.0));
+  lim::SramConfig cfg = sram_config(a);
+  cfg.ecc = a.has("--ecc");
+  cfg.spare_rows = a.get_int("--spares", 0);
   lim::SramDesign d = lim::build_sram(cfg, process, cells);
   synth::synthesize(d.nl, d.lib, cells);
   const evsim::TimingAnnotation ann =
       evsim::annotate_delays(d.nl, d.lib, cells);
 
-  const auto cycles =
-      static_cast<int>(flag_value(argc, argv, "--cycles", 200.0));
-  const auto seed =
-      static_cast<std::uint64_t>(flag_value(argc, argv, "--seed", 1.0));
-  auto mask = [](std::size_t bits) {
-    return bits >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << bits) - 1;
-  };
-  evsim::StimulusTrace trace;
-  Rng rng(seed);
-  for (int c = 0; c < cycles; ++c) {
-    trace.set_bus(c, d.raddr, rng.next_u64() & mask(d.raddr.size()));
-    trace.set_bus(c, d.waddr, rng.next_u64() & mask(d.waddr.size()));
-    trace.set_bus(c, d.wdata, rng.next_u64() & mask(d.wdata.size()));
-    trace.set(c, d.wen, rng.chance(0.5));
-  }
+  const std::uint64_t seed = a.get_u64("--seed", 1);
+  const evsim::StimulusTrace trace =
+      seu::random_trace(d, a.get_int("--cycles", 200), seed);
 
   seu::SeuRig rig;
   rig.design = &d;
   rig.cells = &cells;
   rig.ann = &ann;
   rig.trace = &trace;
-  rig.run_timeout_seconds = flag_value(argc, argv, "--run-timeout", 60.0);
+  rig.run_timeout_seconds = a.get_double("--run-timeout", 60.0);
 
   seu::CampaignOptions copt;
-  copt.samples =
-      static_cast<int>(flag_value(argc, argv, "--campaign", 1000.0));
+  copt.samples = a.get_int("--campaign", 1000);
   copt.seed = seed;
-  copt.workers = static_cast<int>(flag_value(argc, argv, "--workers", 1.0));
-  copt.burst = static_cast<int>(flag_value(argc, argv, "--burst", 1.0));
-  copt.timeout_seconds = flag_value(argc, argv, "--timeout", 0.0);
-  copt.batch = !has_flag(argc, argv, "--no-batch");
+  copt.workers = a.get_int("--workers", 1);
+  copt.burst = a.get_int("--burst", 1);
+  copt.timeout_seconds = a.get_double("--timeout", 0.0);
+  copt.batch = !a.has("--no-batch");
   copt.cancel = &g_interrupted;
-  copt.journal_path = flag_string(argc, argv, "--journal");
-  const std::string resume_path = flag_string(argc, argv, "--resume");
-  if (!resume_path.empty()) {
-    copt.resume = true;
-    if (copt.journal_path.empty()) copt.journal_path = resume_path;
-  }
+  read_journal_flags(a, copt);
 
   const seu::CampaignResult res = seu::run_campaign(rig, process, copt);
   // Provenance goes to stderr so the report itself stays byte-identical
@@ -660,7 +522,7 @@ int cmd_seu(int argc, char** argv) {
     std::fputs("; torn tail treated as unwritten", stderr);
   std::fputc('\n', stderr);
   const std::string report = seu::format_campaign_report(res, cfg);
-  const std::string report_path = flag_string(argc, argv, "--report");
+  const std::string report_path = a.get_string("--report");
   if (!report_path.empty()) {
     std::ofstream out(report_path);
     if (!out)
@@ -680,21 +542,15 @@ int cmd_seu(int argc, char** argv) {
   return 0;
 }
 
-int cmd_optimize(int argc, char** argv) {
-  if (argc < 4) return usage();
+int cmd_optimize(const args::Args& a) {
   const tech::Process process = tech::default_process();
   const tech::StdCellLib cells(process);
   lim::BrickOptTarget target;
-  target.min_fmax = std::atof(argv[3]) * 1e6;
-  if (argc > 4) {
-    const std::string obj = argv[4];
-    target.objective = obj == "area"
-                           ? lim::OptObjective::kArea
-                           : (obj == "delay" ? lim::OptObjective::kDelay
-                                             : lim::OptObjective::kEnergy);
-  }
+  target.min_fmax = a.get_double("min_fmax_MHz") * 1e6;
+  // The objective words are listed in OptObjective order.
+  target.objective = static_cast<lim::OptObjective>(a.get_choice("objective"));
   const lim::BrickOptResult res = lim::optimize_brick_selection(
-      std::atoi(argv[1]), std::atoi(argv[2]), target, process, cells);
+      a.get_int("words"), a.get_int("bits"), target, process, cells);
   std::printf("objective %s, target fmax %s: %s\n",
               lim::objective_name(target.objective),
               units::format_si(target.min_fmax, "Hz").c_str(),
@@ -708,10 +564,9 @@ int cmd_optimize(int argc, char** argv) {
   return res.feasible ? 0 : 1;
 }
 
-int cmd_spgemm(int argc, char** argv) {
-  if (argc < 3) return usage();
-  const int scale = std::atoi(argv[1]);
-  const int degree = std::atoi(argv[2]);
+int cmd_spgemm(const args::Args& cli) {
+  const int scale = cli.get_int("rmat_scale");
+  const int degree = cli.get_int("avg_degree");
   const tech::Process process = tech::default_process();
   const tech::StdCellLib cells(process);
   const arch::ChipModel lim_chip = arch::build_lim_chip(process, cells);
@@ -737,26 +592,21 @@ int cmd_spgemm(int argc, char** argv) {
 
 // Defect-aware yield curve as CSV: one line per frequency bin with the
 // parametric (speed-only) and combined (repairable AND at-speed) yield.
-int cmd_yield(int argc, char** argv) {
-  if (argc < 5) return usage();
+int cmd_yield(const args::Args& a) {
   install_interrupt_handlers();
   const tech::Process process = tech::default_process();
-  lim::SramConfig cfg{std::atoi(argv[1]), std::atoi(argv[2]),
-                      std::atoi(argv[3]), std::atoi(argv[4])};
-  cfg.ecc = has_flag(argc, argv, "--ecc");
-  cfg.spare_rows =
-      static_cast<int>(flag_value(argc, argv, "--spares", 0.0));
+  lim::SramConfig cfg = sram_config(a);
+  cfg.ecc = a.has("--ecc");
+  cfg.spare_rows = a.get_int("--spares", 0);
 
   lim::FullYieldOptions opt;
   opt.cancel = &g_interrupted;
-  opt.chips = static_cast<int>(flag_value(argc, argv, "--chips", 200.0));
-  opt.seed =
-      static_cast<std::uint64_t>(flag_value(argc, argv, "--seed", 1.0));
-  const double d0_cm2 = flag_value(argc, argv, "--d0", -1.0);
+  opt.chips = a.get_int("--chips", 200);
+  opt.seed = a.get_u64("--seed", 1);
+  const double d0_cm2 = a.get_double("--d0", -1.0);
   if (d0_cm2 >= 0.0) opt.defect_density_per_m2 = d0_cm2 * 1e4;
-  opt.verify_cycles =
-      static_cast<int>(flag_value(argc, argv, "--verify-cycles", 0.0));
-  opt.verify_batch = !has_flag(argc, argv, "--no-batch");
+  opt.verify_cycles = a.get_int("--verify-cycles", 0);
+  opt.verify_batch = !a.has("--no-batch");
 
   const lim::FullYieldResult res = lim::analyze_yield_full(cfg, process, opt);
   if (opt.verify_cycles > 0)
@@ -781,10 +631,10 @@ int cmd_yield(int argc, char** argv) {
   return 0;
 }
 
-serve::Endpoint parse_endpoint(int argc, char** argv) {
+serve::Endpoint parse_endpoint(const args::Args& a) {
   serve::Endpoint ep;
-  ep.socket_path = flag_string(argc, argv, "--socket");
-  ep.port = static_cast<int>(flag_value(argc, argv, "--port", 0.0));
+  ep.socket_path = a.get_string("--socket");
+  ep.port = a.get_int("--port", 0);
   LIMS_CHECK_MSG(!ep.socket_path.empty() || ep.port > 0,
                  "serve/call need --socket PATH or --port N");
   return ep;
@@ -793,23 +643,17 @@ serve::Endpoint parse_endpoint(int argc, char** argv) {
 // Long-running characterization daemon: bound libraries and the two-tier
 // brick cache stay resident; concurrent clients get framed JSON replies.
 // Runs until SIGINT/SIGTERM, then drains gracefully and exits 8.
-int cmd_serve(int argc, char** argv) {
-  reject_unknown_flags(argc, argv,
-                       {"--socket", "--port", "--workers", "--queue",
-                        "--deadline-ms", "--idle-ms", "--frame-ms"});
+int cmd_serve(const args::Args& a) {
   install_interrupt_handlers();
-  const serve::Endpoint ep = parse_endpoint(argc, argv);
+  const serve::Endpoint ep = parse_endpoint(a);
 
   serve::ServeOptions sopt;
-  sopt.workers = static_cast<int>(flag_value(argc, argv, "--workers", 4.0));
-  sopt.queue_depth =
-      static_cast<int>(flag_value(argc, argv, "--queue", 8.0));
+  sopt.workers = a.get_int("--workers", 4);
+  sopt.queue_depth = a.get_int("--queue", 8);
   sopt.request_deadline_seconds =
-      flag_value(argc, argv, "--deadline-ms", 30000.0) / 1000.0;
-  sopt.idle_timeout_ms =
-      static_cast<int>(flag_value(argc, argv, "--idle-ms", 30000.0));
-  sopt.frame_timeout_ms =
-      static_cast<int>(flag_value(argc, argv, "--frame-ms", 2000.0));
+      a.get_double("--deadline-ms", 30000.0) / 1000.0;
+  sopt.idle_timeout_ms = a.get_int("--idle-ms", 30000);
+  sopt.frame_timeout_ms = a.get_int("--frame-ms", 2000);
   sopt.shutdown = &g_interrupted;
   LIMS_CHECK_MSG(sopt.workers >= 1 && sopt.queue_depth >= 1,
                  "--workers and --queue must be >= 1");
@@ -860,20 +704,15 @@ int cmd_serve(int argc, char** argv) {
 // reply, and maps the reply's taxonomy code onto the usual exit codes
 // (shed replies land on resource_exhausted, 5). --torn sends half a
 // frame and hangs up — the CI smoke's misbehaving client.
-int cmd_call(int argc, char** argv) {
-  reject_unknown_flags(argc, argv,
-                       {"--socket", "--port", "--json", "--torn",
-                        "--timeout-ms", "--repeat", "--max-retries"});
-  const serve::Endpoint ep = parse_endpoint(argc, argv);
-  const std::string json = flag_string(argc, argv, "--json");
-  const int timeout_ms =
-      static_cast<int>(flag_value(argc, argv, "--timeout-ms", 30000.0));
-  const int repeat =
-      static_cast<int>(flag_value(argc, argv, "--repeat", 1.0));
-  LIMS_CHECK_MSG(!json.empty() || has_flag(argc, argv, "--torn"),
+int cmd_call(const args::Args& a) {
+  const serve::Endpoint ep = parse_endpoint(a);
+  const std::string json = a.get_string("--json");
+  const int timeout_ms = a.get_int("--timeout-ms", 30000);
+  const int repeat = a.get_int("--repeat", 1);
+  LIMS_CHECK_MSG(!json.empty() || a.has("--torn"),
                  "call needs --json '{...}' (or --torn)");
 
-  if (has_flag(argc, argv, "--torn")) {
+  if (a.has("--torn")) {
     // A client that dies mid-request: deliver half the frame, vanish.
     serve::Client client(serve::Transport::real(), ep, timeout_ms);
     if (!client.connected())
@@ -889,8 +728,7 @@ int cmd_call(int argc, char** argv) {
   }
 
   serve::RetryPolicy policy;
-  policy.max_retries =
-      static_cast<int>(flag_value(argc, argv, "--max-retries", 0.0));
+  policy.max_retries = a.get_int("--max-retries", 0);
   policy.jitter_seed = static_cast<std::uint64_t>(::getpid());
 
   int last = 0;
@@ -922,27 +760,89 @@ int cmd_call(int argc, char** argv) {
   return last;
 }
 
+struct Subcommand {
+  args::Command command;
+  int (*run)(const args::Args&);
+};
+
+/// Every subcommand's positionals and flags: the only description of the
+/// command line, parsed by main and printed as the usage text.
+const Subcommand kSubcommands[] = {
+    {{"brick",
+      {{"kind", kWord, "sram6t|sram8t|cam10t|edram"}, {"words", kInt},
+       {"bits", kInt}, {.name = "stack", .type = kInt, .optional = true},
+       {"--lib"}, {"--golden"}}},
+     cmd_brick},
+    {{"sweep", {{"words", kInt}, {"bits", kInt}}}, cmd_sweep},
+    {{"dse",
+      {{"words", kInt}, {"bits", kInt}, {"--csv", kString, "FILE"},
+       {"--journal", kString, "FILE"}, {"--resume", kString, "FILE"},
+       {"--timeout", kDouble, "SEC"}, {"--jobs", kInt, "N"},
+       {"--chips", kInt, "N"}, {"--seed", kU64, "S"}, {"--ecc"},
+       {"--spares", kInt, "N"}, {"--d0", kDouble, "defects_per_cm2"}}},
+     cmd_dse},
+    {{"sram", sram_shape_and({{"--verilog"}, {"--report"}, {"--svg"}})},
+     cmd_sram},
+    {{"simulate",
+      sram_shape_and({{"--cycles", kInt, "N"}, {"--seed", kU64, "S"},
+                      {"--period", kDouble, "NS"}, {"--vcd", kString, "FILE"},
+                      {"--stim", kString, "FILE"}, {"--glitch-report"},
+                      {"--cross-check"}, {"--check-sta"}})},
+     cmd_simulate},
+    {{"seu",
+      sram_shape_and({{"--ecc"}, {"--spares", kInt, "N"},
+                      {"--campaign", kInt, "N"}, {"--cycles", kInt, "N"},
+                      {"--seed", kU64, "S"}, {"--workers", kInt, "N"},
+                      {"--burst", kInt, "N"}, {"--journal", kString, "FILE"},
+                      {"--resume", kString, "FILE"},
+                      {"--report", kString, "FILE"},
+                      {"--timeout", kDouble, "SEC"},
+                      {"--run-timeout", kDouble, "SEC"}, {"--no-batch"}})},
+     cmd_seu},
+    {{"optimize",
+      {{"words", kInt}, {"bits", kInt}, {"min_fmax_MHz", kDouble},
+       {"objective", kWord, "energy|area|delay", true}}},
+     cmd_optimize},
+    {{"spgemm", {{"rmat_scale", kInt}, {"avg_degree", kInt}}}, cmd_spgemm},
+    {{"yield",
+      sram_shape_and({{"--chips", kInt, "N"}, {"--seed", kU64, "S"},
+                      {"--d0", kDouble, "defects_per_cm2"},
+                      {"--spares", kInt, "N"}, {"--ecc"},
+                      {"--verify-cycles", kInt, "N"}, {"--no-batch"}})},
+     cmd_yield},
+    {{"serve",
+      {{"--socket", kString, "PATH"}, {"--port", kInt, "N"},
+       {"--workers", kInt, "N"}, {"--queue", kInt, "N"},
+       {"--deadline-ms", kDouble, "MS"}, {"--idle-ms", kInt, "MS"},
+       {"--frame-ms", kInt, "MS"}}},
+     cmd_serve},
+    {{"call",
+      {{"--socket", kString, "PATH"}, {"--port", kInt, "N"},
+       {"--json", kString, "JSON"}, {"--torn"}, {"--timeout-ms", kInt, "MS"},
+       {"--repeat", kInt, "N"}, {"--max-retries", kInt, "N"}}},
+     cmd_call},
+};
+
+const args::Arg kGlobalFlags[] = {{"--cache-dir", kString, "DIR"}};
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage();
+  const Subcommand* sub = nullptr;
+  for (const Subcommand& s : kSubcommands)
+    if (argc >= 2 && s.command.name == argv[1]) sub = &s;
+  if (!sub) {
+    std::vector<args::Command> commands;
+    for (const Subcommand& s : kSubcommands) commands.push_back(s.command);
+    std::fputs(args::usage("limsynth", commands, kGlobalFlags).c_str(),
+               stderr);
+    return 2;
+  }
   try {
-    attach_cache_dir(argc, argv);
-    const std::string cmd = argv[1];
-    if (cmd == "brick") return cmd_brick(argc - 1, argv + 1);
-    if (cmd == "sweep") return cmd_sweep(argc - 1, argv + 1);
-    if (cmd == "dse") return cmd_dse(argc - 1, argv + 1);
-    if (cmd == "sram") return cmd_sram(argc - 1, argv + 1);
-    if (cmd == "simulate") return cmd_simulate(argc - 1, argv + 1);
-    if (cmd == "seu") return cmd_seu(argc - 1, argv + 1);
-    if (cmd == "optimize") return cmd_optimize(argc - 1, argv + 1);
-    if (cmd == "spgemm") return cmd_spgemm(argc - 1, argv + 1);
-    if (cmd == "yield") return cmd_yield(argc - 1, argv + 1);
-    if (cmd == "serve") return cmd_serve(argc - 1, argv + 1);
-    if (cmd == "call") return cmd_call(argc - 1, argv + 1);
-    return usage();
-  } catch (const Error& e) {
-    // Structured exit codes: scripts driving sweeps can tell a bad config
+    const args::Args a =
+        args::parse(sub->command, argc - 1, argv + 1, kGlobalFlags);
+    attach_cache_dir(a.get_string("--cache-dir"));
+    return sub->run(a);
+  } catch (const Error& e) {    // Structured exit codes: scripts driving sweeps can tell a bad config
     // (2) from a numerics problem (4) or an exhausted budget (5).
     std::fprintf(stderr, "error [%s]: %s\n", error_code_name(e.code()),
                  e.what());
