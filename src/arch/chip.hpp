@@ -38,7 +38,7 @@ struct ChipModel {
     return fault::soft_error_budget(process, mem_bits, 0.0, 0.0).fit_mem;
   }
 
-  // Energy composition (diagnostics / bench_section5).
+  // Energy composition (diagnostics).
   double e_cam_match = 0.0;   // per active CAM column search
   double e_sram_read = 0.0;
   double e_sram_write = 0.0;

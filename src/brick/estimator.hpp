@@ -4,8 +4,9 @@
 // logical-effort stage delays plus Elmore RC for the distributed wires —
 // in microseconds of CPU time, which is what makes the paper's
 // "design-space exploration within seconds" possible. Table 1 of the paper
-// validates exactly this estimator against SPICE; bench_table1 reproduces
-// that comparison against our golden transient simulator (brick/golden.hpp).
+// validates exactly this estimator against SPICE; `limsynth repro`'s
+// table1 artifact reproduces that comparison against our golden transient
+// simulator (brick/golden.hpp).
 #pragma once
 
 #include "brick/brick.hpp"

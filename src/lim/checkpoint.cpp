@@ -1,16 +1,15 @@
 #include "lim/checkpoint.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <fstream>
 #include <mutex>
 #include <ostream>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "util/jsonl.hpp"
+#include "util/parallel.hpp"
 #include "util/watchdog.hpp"
 
 namespace limsynth::lim {
@@ -142,10 +141,10 @@ CheckpointedSweep sweep_partitions_checkpointed(
                 "cannot open DSE journal for append: " << ckpt.journal_path);
   }
 
-  // One slot per choice in sweep order. Workers (or the serial loop)
-  // claim indices atomically and deposit results into their slot; journal
-  // lines are appended strictly in slot order behind `flush_cursor`, so a
-  // parallel run's journal is byte-identical to a serial run's.
+  // One slot per choice in sweep order. Pool workers claim indices and
+  // deposit results into their slot; journal lines are appended strictly
+  // in slot order behind `flush_cursor`, so a parallel run's journal is
+  // byte-identical to a serial run's.
   struct Slot {
     std::uint64_t key = 0;
     DsePoint point;
@@ -167,13 +166,10 @@ CheckpointedSweep sweep_partitions_checkpointed(
   result.stale = static_cast<int>(journal.points.size() - matched);
 
   const Watchdog watchdog("DSE sweep", ckpt.timeout_seconds);
-  std::atomic<std::size_t> next{0};
-  std::atomic<bool> stop{false};
   std::atomic<bool> timed_out{false};
   std::atomic<bool> interrupted{false};
   std::mutex mu;
   std::size_t flush_cursor = 0;  // guarded by mu
-  std::exception_ptr worker_error;
 
   // Appends every done slot at the cursor, in order. Caller holds `mu`.
   const auto flush_ready = [&] {
@@ -189,53 +185,27 @@ CheckpointedSweep sweep_partitions_checkpointed(
     flush_ready();  // a resumed prefix needs no evaluation to flush past
   }
 
-  const auto work = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= slots.size() || stop.load()) return;
-      if (slots[i].done) continue;  // satisfied from the journal
-      if (ckpt.cancel && ckpt.cancel->load(std::memory_order_relaxed)) {
-        // Signal-driven stop, same contract as a timeout: every finished
-        // point is already flushed in order, so --resume loses nothing.
-        interrupted.store(true);
-        stop.store(true);
-        return;
-      }
-      if (watchdog.expired()) {
-        // Stop cleanly between points: everything flushed so far is in
-        // the journal, so a --resume run completes the sweep.
-        timed_out.store(true);
-        stop.store(true);
-        return;
-      }
-      try {
-        DsePoint p = evaluate_partition_caught(choices[i], process, options);
-        const std::lock_guard<std::mutex> lock(mu);
-        slots[i].point = std::move(p);
-        slots[i].done = true;
-        flush_ready();
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(mu);
-        if (!worker_error) worker_error = std::current_exception();
-        stop.store(true);
-        return;
-      }
+  parallel_for(slots.size(), ckpt.jobs, [&](std::size_t i) {
+    if (slots[i].done) return true;  // satisfied from the journal
+    if (ckpt.cancel && ckpt.cancel->load(std::memory_order_relaxed)) {
+      // Signal-driven stop, same contract as a timeout: every finished
+      // point is already flushed in order, so --resume loses nothing.
+      interrupted.store(true);
+      return false;
     }
-  };
-
-  // Evaluation always runs on spawned workers — even with jobs=1 — so the
-  // thread-local diagnostic context is identical (empty) in serial and
-  // parallel runs and failed points journal byte-identical error records.
-  const int n_threads = static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(std::max(ckpt.jobs, 1)),
-      std::max<std::size_t>(choices.size(), 1)));
-  {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(n_threads));
-    for (int t = 0; t < n_threads; ++t) pool.emplace_back(work);
-    for (auto& th : pool) th.join();
-  }
-  if (worker_error) std::rethrow_exception(worker_error);
+    if (watchdog.expired()) {
+      // Stop cleanly between points: everything flushed so far is in
+      // the journal, so a --resume run completes the sweep.
+      timed_out.store(true);
+      return false;
+    }
+    DsePoint p = evaluate_partition_caught(choices[i], process, options);
+    const std::lock_guard<std::mutex> lock(mu);
+    slots[i].point = std::move(p);
+    slots[i].done = true;
+    flush_ready();
+    return true;
+  });
   result.timed_out = timed_out.load();
   result.interrupted = interrupted.load();
 

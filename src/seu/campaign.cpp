@@ -1,18 +1,16 @@
 #include "seu/campaign.hpp"
 
-#include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <exception>
 #include <fstream>
 #include <memory>
 #include <mutex>
 #include <sstream>
-#include <thread>
 
 #include "seu/batch.hpp"
 #include "util/error.hpp"
 #include "util/jsonl.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/watchdog.hpp"
 
@@ -373,85 +371,58 @@ CampaignResult run_campaign(const SeuRig& rig, const tech::Process& process,
   if (!group.samples.empty()) units.push_back(std::move(group));
 
   const Watchdog watchdog("SEU campaign", opt.timeout_seconds);
-  std::atomic<std::size_t> next{0};
-  std::atomic<bool> stop{false};
   std::mutex mu;
-  std::exception_ptr worker_error;
 
-  auto work = [&] {
-    for (;;) {
-      const std::size_t u = next.fetch_add(1);
-      if (u >= units.size() || stop.load()) return;
-      if (opt.cancel && opt.cancel->load(std::memory_order_relaxed)) {
-        // Signal-driven stop between units: the journal holds every
-        // completed sample, so a --resume run finishes the campaign.
-        const std::lock_guard<std::mutex> lock(mu);
-        res.interrupted = true;
-        stop.store(true);
-        return;
-      }
-      if (watchdog.expired()) {
-        // Stop cleanly between units: the journal holds everything
-        // finished so far, so a --resume run completes the campaign.
-        const std::lock_guard<std::mutex> lock(mu);
-        res.timed_out = true;
-        stop.store(true);
-        return;
-      }
-      const WorkUnit& unit = units[u];
+  parallel_for(units.size(), opt.workers, [&](std::size_t u) {
+    if (opt.cancel && opt.cancel->load(std::memory_order_relaxed)) {
+      // Signal-driven stop between units: the journal holds every
+      // completed sample, so a --resume run finishes the campaign.
+      const std::lock_guard<std::mutex> lock(mu);
+      res.interrupted = true;
+      return false;
+    }
+    if (watchdog.expired()) {
+      // Stop cleanly between units: the journal holds everything
+      // finished so far, so a --resume run completes the campaign.
+      const std::lock_guard<std::mutex> lock(mu);
+      res.timed_out = true;
+      return false;
+    }
+    const WorkUnit& unit = units[u];
+    std::vector<InjectionResult> runs;
+    bool via_batch = false;
+    if (unit.batched) {
       try {
-        std::vector<InjectionResult> runs;
-        bool via_batch = false;
-        if (unit.batched) {
-          try {
-            runs = run_batch(rig, *kernel, golden, unit.specs);
-            via_batch = true;
-          } catch (const Error&) {
-            // The kernel bailed (engine error, watchdog expiry, golden
-            // divergence): replay the group on the scalar engine, where
-            // per-sample failures classify as kHang.
-          }
-        }
-        if (!via_batch) {
-          runs.reserve(unit.specs.size());
-          for (const InjectionSpec& spec : unit.specs)
-            runs.push_back(run_injection(rig, golden, spec));
-        }
-        const std::lock_guard<std::mutex> lock(mu);
-        for (std::size_t s = 0; s < unit.samples.size(); ++s) {
-          SampleRecord rec;
-          rec.sample = unit.samples[s];
-          rec.kind = unit.specs[s].site.kind;
-          rec.site = unit.specs[s].site.describe(rig.design->nl);
-          rec.cycle = unit.specs[s].cycle;
-          rec.outcome = runs[s].outcome;
-          rec.latent = runs[s].latent;
-          rec.detail = runs[s].detail;
-          if (journal.is_open()) append_journal_line(journal, res.key, rec);
-          res.records[static_cast<std::size_t>(rec.sample)] = std::move(rec);
-          ++res.computed;
-        }
-        if (via_batch) res.batched += static_cast<int>(unit.samples.size());
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(mu);
-        if (!worker_error) worker_error = std::current_exception();
-        stop.store(true);
-        return;
+        runs = run_batch(rig, *kernel, golden, unit.specs);
+        via_batch = true;
+      } catch (const Error&) {
+        // The kernel bailed (engine error, watchdog expiry, golden
+        // divergence): replay the group on the scalar engine, where
+        // per-sample failures classify as kHang.
       }
     }
-  };
-
-  const int n_threads =
-      std::min(opt.workers, static_cast<int>(units.size()));
-  if (n_threads <= 1) {
-    work();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(n_threads));
-    for (int t = 0; t < n_threads; ++t) pool.emplace_back(work);
-    for (auto& th : pool) th.join();
-  }
-  if (worker_error) std::rethrow_exception(worker_error);
+    if (!via_batch) {
+      runs.reserve(unit.specs.size());
+      for (const InjectionSpec& spec : unit.specs)
+        runs.push_back(run_injection(rig, golden, spec));
+    }
+    const std::lock_guard<std::mutex> lock(mu);
+    for (std::size_t s = 0; s < unit.samples.size(); ++s) {
+      SampleRecord rec;
+      rec.sample = unit.samples[s];
+      rec.kind = unit.specs[s].site.kind;
+      rec.site = unit.specs[s].site.describe(rig.design->nl);
+      rec.cycle = unit.specs[s].cycle;
+      rec.outcome = runs[s].outcome;
+      rec.latent = runs[s].latent;
+      rec.detail = runs[s].detail;
+      if (journal.is_open()) append_journal_line(journal, res.key, rec);
+      res.records[static_cast<std::size_t>(rec.sample)] = std::move(rec);
+      ++res.computed;
+    }
+    if (via_batch) res.batched += static_cast<int>(unit.samples.size());
+    return true;
+  });
 
   // Aggregate from the ordered records alone (determinism contract).
   for (int k = 0; k < kSiteKinds; ++k)

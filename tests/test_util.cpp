@@ -1,14 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <thread>
 
 #include "util/args.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
 #include "util/fs.hpp"
 #include "util/jsonl.hpp"
+#include "util/parallel.hpp"
 #include "util/watchdog.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -457,6 +462,64 @@ TEST(JournalText, CompleteFileHasNoTornTail) {
   EXPECT_FALSE(jsonl::read_journal_text(fs_temp("journal_missing.jsonl"),
                                         &text));
   std::remove(path.c_str());
+}
+
+// ------------------------------------------------------- parallel_for
+
+TEST(ParallelFor, RunsEveryIndexExactlyOnce) {
+  for (int jobs : {1, 4, 1000}) {
+    std::vector<std::atomic<int>> runs(100);
+    parallel_for(runs.size(), jobs,
+                 [&](std::size_t i) { return ++runs[i] > 0; });
+    for (const auto& r : runs) EXPECT_EQ(r.load(), 1) << "jobs " << jobs;
+  }
+}
+
+TEST(ParallelFor, WorkRunsOffTheCallersThreadEvenAtOneJob) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> on_caller{0};
+  parallel_for(8, 1, [&](std::size_t) {
+    on_caller += std::this_thread::get_id() == caller;
+    return true;
+  });
+  EXPECT_EQ(on_caller.load(), 0);
+}
+
+TEST(ParallelFor, RethrowsTheFirstExceptionAfterJoin) {
+  std::atomic<int> ran{0}, active{0};
+  const auto throw_at_3 = [&](std::size_t i) -> bool {
+    ++ran;
+    if (i == 3) throw std::runtime_error("index 3");
+    return true;
+  };
+  EXPECT_THROW(parallel_for(1000, 1, throw_at_3), std::runtime_error);
+  EXPECT_EQ(ran.load(), 4);  // the throw stopped further claims
+  // Every item throws; the one that surfaces arrives after every worker
+  // has left its item.
+  const auto slow_throw = [&](std::size_t) -> bool {
+    ++active;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    --active;
+    throw std::runtime_error("item");
+  };
+  EXPECT_THROW(parallel_for(1000, 4, slow_throw), std::runtime_error);
+  EXPECT_EQ(active.load(), 0);
+}
+
+TEST(ParallelFor, FalseStopsFurtherClaims) {
+  std::atomic<int> ran{0};
+  parallel_for(1000, 1, [&](std::size_t i) {
+    ++ran;
+    return i < 9;
+  });
+  EXPECT_EQ(ran.load(), 10);  // indices 0..9, claimed in order
+  ran = 0;
+  parallel_for(1000, 4, [&](std::size_t) {
+    ++ran;
+    return false;
+  });
+  EXPECT_GE(ran.load(), 1);
+  EXPECT_LE(ran.load(), 4);  // no worker claims again after a false
 }
 
 // ------------------------------------------------------------- args

@@ -41,6 +41,8 @@
 
 using namespace limsynth;
 
+int run_repro(bool check);  // tools/repro.cpp: `limsynth repro`
+
 namespace {
 
 /// Set by the SIGINT/SIGTERM handlers; the dse and seu executors poll it
@@ -760,6 +762,8 @@ int cmd_call(const args::Args& a) {
   return last;
 }
 
+int cmd_repro(const args::Args& a) { return run_repro(a.has("--check")); }
+
 struct Subcommand {
   args::Command command;
   int (*run)(const args::Args&);
@@ -821,6 +825,7 @@ const Subcommand kSubcommands[] = {
        {"--json", kString, "JSON"}, {"--torn"}, {"--timeout-ms", kInt, "MS"},
        {"--repeat", kInt, "N"}, {"--max-retries", kInt, "N"}}},
      cmd_call},
+    {{"repro", {{"--check"}}}, cmd_repro},
 };
 
 const args::Arg kGlobalFlags[] = {{"--cache-dir", kString, "DIR"}};
