@@ -15,6 +15,13 @@
 //
 // Both models compute the exact product (verified against the Gustavson
 // reference in tests) while counting cycles and micro-operations.
+//
+// Like the chips, both models split C into independent (row block x column
+// stripe) tasks (spgemm/blocking.hpp). They run the tasks on the shared
+// worker pool (util/parallel.hpp), one worker per hardware thread. C is
+// sized before the tasks run, and each task writes its own counters and its
+// own tile of C in place, so C and every counter are the same on any number
+// of threads.
 #pragma once
 
 #include <cstdint>

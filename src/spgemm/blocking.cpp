@@ -31,14 +31,15 @@ BlockedColumns slice_rows(const SparseMatrix& a, int row_begin, int row_end) {
   LIMS_CHECK(row_begin >= 0 && row_end <= a.rows() && row_begin < row_end);
   BlockedColumns out;
   out.row_begin = row_begin;
-  out.entries.resize(static_cast<std::size_t>(a.cols()));
+  out.col_ptr.reserve(static_cast<std::size_t>(a.cols()) + 1);
+  out.col_ptr.push_back(0);
   for (int c = 0; c < a.cols(); ++c) {
     for (int k = a.col_begin(c); k < a.col_end(c); ++k) {
       const int r = a.row_index(k);
       if (r >= row_begin && r < row_end)
-        out.entries[static_cast<std::size_t>(c)].push_back(
-            {r - row_begin, a.value(k)});
+        out.entries.push_back({r - row_begin, a.value(k)});
     }
+    out.col_ptr.push_back(static_cast<int>(out.entries.size()));
   }
   return out;
 }

@@ -6,6 +6,7 @@
 // bandwidth.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "spgemm/sparse.hpp"
@@ -24,18 +25,26 @@ struct BlockTask {
   int col_begin = 0, col_end = 0;
 };
 
-/// Enumerates all (row block x column stripe) tasks for C = A * B.
+/// Enumerates all (row block x column stripe) tasks for C = A * B, row
+/// block by row block: task rb * stripes + cs.
 std::vector<BlockTask> make_block_tasks(const SparseMatrix& a,
                                         const SparseMatrix& b,
                                         const BlockingConfig& config);
 
-/// Nonzeros of A restricted to a row block, as per-column slices
-/// (row indices rebased to the block: 0..row_block).
+/// Nonzeros of A restricted to a row block, in CSC order (row indices
+/// rebased to the block: 0..row_block).
 struct BlockedColumns {
   int row_begin = 0;
-  /// entries[k] = entries of A(:, k) with row in [row_begin, row_end),
-  /// rebased and sorted by row; empty when the column has none there.
-  std::vector<std::vector<Entry>> entries;
+  std::vector<int> col_ptr;    // size cols+1
+  std::vector<Entry> entries;  // size col_ptr.back()
+
+  /// Entries of A(:, k) with row in [row_begin, row_end), rebased and
+  /// sorted by row; empty when the column has none there.
+  std::span<const Entry> column(int k) const {
+    const auto c = static_cast<std::size_t>(k);
+    return {entries.data() + col_ptr[c],
+            static_cast<std::size_t>(col_ptr[c + 1] - col_ptr[c])};
+  }
 };
 BlockedColumns slice_rows(const SparseMatrix& a, int row_begin, int row_end);
 

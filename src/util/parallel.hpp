@@ -1,6 +1,6 @@
 // The one worker pool: a fixed set of spawned threads claiming indices in
-// ascending order. The DSE sweep, the SEU campaign and `limsynth repro`
-// run on it.
+// ascending order. The DSE sweep, the SEU campaign, `limsynth repro` and
+// the SpGEMM core models' block tasks (arch/cores.cpp) run on it.
 #pragma once
 
 #include <algorithm>

@@ -1,6 +1,7 @@
 // Tests for the accelerator core simulators and chip models.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <tuple>
 
@@ -310,6 +311,22 @@ TEST(PinnedStats, DenseBlocksMergeWideBuckets) {
                  16384, 16, 10707},
                 {12238576, 0, 0, 0, 0, 0, 510877, 10161182, 510877, 510877,
                  16384, 16, 10707});
+}
+
+TEST(PinnedStats, UfSuiteErMid) {
+  // A Fig. 6 matrix: 4 row blocks x 128 stripes = 512 block tasks, so the
+  // per-task counters and tiles are merged at a realistic task count.
+  const std::vector<spgemm::Benchmark> suite = spgemm::uf_analog_suite();
+  const auto it = std::find_if(suite.begin(), suite.end(),
+                               [](const spgemm::Benchmark& bench) {
+                                 return bench.name == "er_mid_syn";
+                               });
+  ASSERT_NE(it, suite.end());
+  expect_pinned(it->matrix, it->matrix, CoreConfig{},
+                {1030010, 392647, 408292, 405907, 16643, 266288, 0, 0, 0,
+                 408292, 403285, 512, 77941},
+                {4759307, 0, 0, 0, 0, 0, 408292, 2589186, 408292, 408292,
+                 403285, 512, 77941});
 }
 
 // --- Gustavson properties on degenerate inputs ---------------------------

@@ -341,7 +341,9 @@ TEST(Banks, PerLanePeekPokeFlipAreIsolated) {
   bank.poke(3, 2, 0b10110);
   EXPECT_EQ(bank.peek(3, 2), 0b10110u);
   for (int l = 0; l < kLanes; ++l) {
-    if (l != 3) EXPECT_EQ(bank.peek(l, 2), 0u) << "lane " << l;
+    if (l != 3) {
+      EXPECT_EQ(bank.peek(l, 2), 0u) << "lane " << l;
+    }
   }
   // Values are masked to the word width.
   bank.poke(1, 0, ~std::uint64_t{0});

@@ -83,8 +83,9 @@ TEST(Bound, ResolvesCellsAndConnsOnce) {
       EXPECT_EQ(c.is_output,
                 bd.cell(id).find_output(synth::pin_base(inst.conns[k].pin)) !=
                     nullptr);
-      if (const NetId* via_find = inst.find_pin(inst.conns[k].pin))
+      if (const NetId* via_find = inst.find_pin(inst.conns[k].pin)) {
         EXPECT_EQ(bd.pin_net(id, c.pin), *via_find);
+      }
     }
   }
 }

@@ -137,8 +137,9 @@ TEST(Svg, DistinctColorsPerPatternClass) {
                               PatternClass::kFill};
   for (auto a : all)
     for (auto b : all)
-      if (a != b)
+      if (a != b) {
         EXPECT_STRNE(pattern_color(a), pattern_color(b));
+      }
 }
 
 TEST(Checker, FlagsLegacyLogicTouchingArray) {

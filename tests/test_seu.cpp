@@ -422,9 +422,10 @@ TEST(SeuBatch, RunBatchMatchesRunInjectionPerSample) {
       EXPECT_EQ(batch[i].outcome, scalar.outcome)
           << "spec " << i << " " << specs[i].site.describe(b.design.nl);
       EXPECT_EQ(batch[i].latent, scalar.latent) << "spec " << i;
-      if (scalar.outcome == Outcome::kSdc)
+      if (scalar.outcome == Outcome::kSdc) {
         EXPECT_EQ(batch[i].first_mismatch_cycle, scalar.first_mismatch_cycle)
             << "spec " << i;
+      }
     }
   }
 }

@@ -248,9 +248,9 @@ TEST(Blocking, SliceRowsRebasesAndPartitions) {
   const BlockedColumns hi = slice_rows(a, 100, 200);
   std::int64_t total = 0;
   for (int c = 0; c < a.cols(); ++c) {
-    total += static_cast<std::int64_t>(lo.entries[static_cast<std::size_t>(c)].size() +
-                                       hi.entries[static_cast<std::size_t>(c)].size());
-    for (const Entry& e : hi.entries[static_cast<std::size_t>(c)]) {
+    total += static_cast<std::int64_t>(lo.column(c).size() +
+                                       hi.column(c).size());
+    for (const Entry& e : hi.column(c)) {
       EXPECT_GE(e.row, 0);
       EXPECT_LT(e.row, 100);  // rebased
     }
