@@ -259,8 +259,6 @@ ChipModel build_lim_chip(const tech::Process& process,
       be.cam_brick.layout.area + be.scratch_brick.layout.area;
   chip.core_area = 33.0 * column_area + 32.0 * 1850e-12;
   chip.chip_area = chip.core_area + 2.0 * be.buffer.bank_area + 0.6e-6;
-  // 33 CAM + 32 scratch columns of 16x10 bits, plus two 1024x32 buffers.
-  chip.mem_bits = 33.0 * 160.0 + 32.0 * 160.0 + 2.0 * 1024.0 * 32.0;
   return chip;
 }
 
@@ -286,8 +284,6 @@ ChipModel build_baseline_chip(const tech::Process& process,
   // (paper: 0.33 mm^2 core vs 0.39 mm^2).
   chip.core_area = 64.0 * be.scratch_brick.layout.area + 26.0 * 2000e-12;
   chip.chip_area = chip.core_area + 2.0 * be.buffer.bank_area + 0.6e-6;
-  // 64 FIFO bricks of 16x10 bits, plus the same two 1024x32 buffers.
-  chip.mem_bits = 64.0 * 160.0 + 2.0 * 1024.0 * 32.0;
   return chip;
 }
 

@@ -14,7 +14,6 @@
 #pragma once
 
 #include "arch/cores.hpp"
-#include "fault/soft.hpp"
 #include "lim/flow.hpp"
 #include "tech/process.hpp"
 #include "tech/stdcell.hpp"
@@ -28,15 +27,6 @@ struct ChipModel {
   double power() const { return energy_per_cycle * fmax; }
   double core_area = 0.0;         // m^2, computation core block
   double chip_area = 0.0;         // m^2, incl. A/B buffers + pads
-
-  // Soft-error exposure: total storage bits across the chip's arrays
-  // (CAM/scratch/FIFO columns plus the A/B buffers). The raw SEU budget
-  // follows from the process upset rates; architectural derating (AVF)
-  // is measured by src/seu injection campaigns on gate-level slices.
-  double mem_bits = 0.0;
-  double raw_seu_fit(const tech::Process& process) const {
-    return fault::soft_error_budget(process, mem_bits, 0.0, 0.0).fit_mem;
-  }
 
   // Energy composition (diagnostics).
   double e_cam_match = 0.0;   // per active CAM column search

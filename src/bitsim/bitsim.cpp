@@ -68,6 +68,9 @@ BatchProgram::BatchProgram(const netlist::BoundDesign& bound,
       LIMS_FAIL(ErrorCode::kInvalidConfig,
                 "bitsim: cell " << inst.name << " missing pin Y");
     g.out = *out;
+    // settle() loads the first input unconditionally; a tie cell has none,
+    // so point it at its own output, a valid plane whose value goes unused.
+    if (g.nin == 0) g.in[0] = g.out;
     gates_.push_back(g);
   }
   if (level_begin_.empty()) level_begin_.push_back(0);
@@ -118,11 +121,6 @@ void BatchSim::attach(netlist::InstId inst,
                       std::shared_ptr<BatchMacroModel> model) {
   models_[inst] = std::move(model);
   models_checked_ = false;
-}
-
-BatchMacroModel* BatchSim::model(netlist::InstId inst) const {
-  const auto it = models_.find(inst);
-  return it == models_.end() ? nullptr : it->second.get();
 }
 
 void BatchSim::set_input(netlist::NetId net, bool value) {
@@ -233,26 +231,6 @@ void BatchSim::drive_net(netlist::NetId net, std::uint64_t value,
   const auto n = static_cast<std::size_t>(net);
   LIMS_CHECK(n < planes_.size());
   planes_[n] = (planes_[n] & ~lane_mask) | (value & lane_mask);
-}
-
-std::uint64_t BatchSim::pin_plane(netlist::InstId inst,
-                                  const std::string& pin) const {
-  const netlist::NetId net = prog_->bound().pin_net(inst, pin);
-  LIMS_CHECK_MSG(net != netlist::kNoNet,
-                 "bitsim: instance "
-                     << prog_->bound().netlist().instance(inst).name
-                     << " has no pin " << pin);
-  return plane(net);
-}
-
-void BatchSim::drive_pin(netlist::InstId inst, const std::string& pin,
-                         std::uint64_t value, std::uint64_t lane_mask) {
-  const netlist::NetId net = prog_->bound().pin_net(inst, pin);
-  LIMS_CHECK_MSG(net != netlist::kNoNet,
-                 "bitsim: instance "
-                     << prog_->bound().netlist().instance(inst).name
-                     << " has no pin " << pin);
-  drive_net(net, value, lane_mask);
 }
 
 }  // namespace limsynth::bitsim

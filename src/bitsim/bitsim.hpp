@@ -61,7 +61,7 @@ class BatchMacroModel {
  public:
   virtual ~BatchMacroModel() = default;
   /// Invoked at the clock edge on pre-commit pin planes; drive outputs
-  /// with sim.drive_net / sim.drive_pin.
+  /// with sim.drive_net.
   virtual void on_clock(BatchSim& sim, netlist::InstId inst) = 0;
 
   virtual int state_rows() const { return 0; }
@@ -140,7 +140,6 @@ class BatchSim {
   /// Attaches a macro model; every macro instance in the program must be
   /// attached before the first settle()/clock_edge().
   void attach(netlist::InstId inst, std::shared_ptr<BatchMacroModel> model);
-  BatchMacroModel* model(netlist::InstId inst) const;
 
   /// Sets a primary input in every lane (broadcast).
   void set_input(netlist::NetId net, bool value);
@@ -174,10 +173,6 @@ class BatchSim {
   /// Macro-port surface (net-level; models resolve pins once at bind).
   void drive_net(netlist::NetId net, std::uint64_t value,
                  std::uint64_t lane_mask);
-  /// Name-based pin access for models without a resolved-pin cache.
-  std::uint64_t pin_plane(netlist::InstId inst, const std::string& pin) const;
-  void drive_pin(netlist::InstId inst, const std::string& pin,
-                 std::uint64_t value, std::uint64_t lane_mask);
 
  private:
   const BatchProgram* prog_;

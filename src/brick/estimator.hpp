@@ -52,11 +52,6 @@ struct BrickEstimate {
   double bank_area = 0.0;    // m^2
   double bank_width = 0.0;   // m
   double bank_height = 0.0;  // m
-
-  /// Average power when cycled at `freq` doing one read per cycle.
-  double read_power_at(double freq) const {
-    return read_energy * freq + leakage;
-  }
 };
 
 /// Reference output load the read path is characterized into by default.

@@ -79,12 +79,4 @@ liberty::LibCell make_brick_libcell(const Brick& b) {
   return cell;
 }
 
-liberty::Library make_brick_library(const std::vector<BrickSpec>& specs,
-                                    const tech::Process& process) {
-  liberty::Library lib("bricks_" + process.name);
-  for (const auto& spec : specs)
-    lib.add(make_brick_libcell(compile_brick(spec, process)));
-  return lib;
-}
-
 }  // namespace limsynth::brick

@@ -9,8 +9,6 @@
 // "white box" integration the paper argues for.
 #pragma once
 
-#include <vector>
-
 #include "brick/brick.hpp"
 #include "brick/estimator.hpp"
 #include "liberty/library.hpp"
@@ -22,10 +20,5 @@ namespace limsynth::brick {
 ///   modeled once), WDATA (write data), DO (data out).
 /// CAM bricks additionally expose SDATA (search word) and MATCH.
 liberty::LibCell make_brick_libcell(const Brick& brick);
-
-/// Generates a library containing the macro cells for every spec, e.g. for
-/// a design-space sweep. Library name records the process.
-liberty::Library make_brick_library(const std::vector<BrickSpec>& specs,
-                                    const tech::Process& process);
 
 }  // namespace limsynth::brick

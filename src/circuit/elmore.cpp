@@ -30,12 +30,6 @@ int RcTree::add_line(int parent, double total_res, double total_cap,
   return node;
 }
 
-double RcTree::total_cap() const {
-  double total = 0.0;
-  for (double c : cap_) total += c;
-  return total;
-}
-
 double RcTree::elmore(int node) const {
   LIMS_CHECK(node >= 0 && node < node_count());
   // Downstream capacitance of each node (cap of its full subtree).
@@ -54,11 +48,6 @@ double RcTree::elmore(int node) const {
     cur = parent_[static_cast<std::size_t>(cur)];
   }
   return delay;
-}
-
-double RcTree::delay_to_swing(int node, double swing_frac) const {
-  LIMS_CHECK(swing_frac > 0.0 && swing_frac < 1.0);
-  return -std::log(1.0 - swing_frac) * elmore(node);
 }
 
 }  // namespace limsynth::circuit

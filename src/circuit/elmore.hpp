@@ -32,16 +32,9 @@ class RcTree {
 
   int node_count() const { return static_cast<int>(parent_.size()); }
 
-  /// Sum of all capacitance in the tree (driving point included).
-  double total_cap() const;
-
   /// Elmore delay (first moment of the impulse response) from the source
   /// to `node`, including the driver resistance charging everything.
   double elmore(int node) const;
-
-  /// Threshold-crossing delay to `swing_frac` of the final value assuming a
-  /// single dominant pole: -ln(1 - swing) * elmore.
-  double delay_to_swing(int node, double swing_frac) const;
 
  private:
   double driver_res_;

@@ -38,34 +38,4 @@ SizedPath size_path(const std::vector<PathStage>& path, double cin_c0,
   return out;
 }
 
-SizedPath size_path_with_buffers(const std::vector<PathStage>& path,
-                                 double cin_c0, double load_c0,
-                                 int max_extra) {
-  SizedPath best;
-  bool have_best = false;
-  std::vector<PathStage> extended = path;
-  for (int extra = 0; extra <= max_extra; ++extra) {
-    const SizedPath candidate = size_path(extended, cin_c0, load_c0);
-    // Reject sizings where a stage effort is below 1 (stages would shrink
-    // below the input cap — physically silly).
-    if (candidate.stage_effort >= 1.0 || !have_best) {
-      if (!have_best || candidate.delay_tau < best.delay_tau) {
-        best = candidate;
-        have_best = true;
-      }
-    }
-    extended.push_back(PathStage{1.0, 1.0, 1.0});
-  }
-  return best;
-}
-
-double buffer_chain_delay_tau(double fanout, double parasitic) {
-  LIMS_CHECK(fanout > 0.0);
-  if (fanout <= 1.0) return 1.0 + parasitic;  // single min inverter
-  const double n_opt = std::log(fanout) / std::log(4.0);  // stage effort ~4
-  const double n = std::max(1.0, std::round(n_opt));
-  const double f = std::pow(fanout, 1.0 / n);
-  return n * (f + parasitic);
-}
-
 }  // namespace limsynth::circuit

@@ -30,15 +30,4 @@ struct SizedPath {
 SizedPath size_path(const std::vector<PathStage>& path, double cin_c0,
                     double load_c0);
 
-/// Chooses the optimal number of inverters to append (0..max_extra) to
-/// minimize total delay, then sizes. Appended inverters have g=1, p=1.
-SizedPath size_path_with_buffers(const std::vector<PathStage>& path,
-                                 double cin_c0, double load_c0,
-                                 int max_extra = 6);
-
-/// Delay in tau of a minimum-delay N-stage inverter chain driving
-/// `fanout = load/cin`, with N chosen optimally (rounded to the nearest
-/// integer >= 1). Used for quick driver-chain estimates.
-double buffer_chain_delay_tau(double fanout, double parasitic = 1.0);
-
 }  // namespace limsynth::circuit

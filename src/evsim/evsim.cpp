@@ -123,13 +123,6 @@ netlist::MacroModel* EventSimulator::model(InstId inst) const {
   return macros_.model(inst);
 }
 
-std::vector<InstId> EventSimulator::flop_instances() const {
-  std::vector<InstId> out;
-  out.reserve(ann_.flops.size());
-  for (const FlopInfo& fi : ann_.flops) out.push_back(fi.inst);
-  return out;
-}
-
 void EventSimulator::flip_flop(InstId inst) {
   const auto it = flop_index_.find(inst);
   LIMS_CHECK_MSG(it != flop_index_.end(),
@@ -394,10 +387,6 @@ void EventSimulator::cycle() {
   next_edge_ = std::max(t_now_ + 1, (timed_ ? next_edge_ : t_now_) + period_fs_);
 }
 
-void EventSimulator::run(std::uint64_t cycles) {
-  for (std::uint64_t i = 0; i < cycles; ++i) cycle();
-}
-
 std::vector<SetupViolation> EventSimulator::violations_by_endpoint() const {
   std::vector<SetupViolation> out;
   for (std::size_t e = 0; e < ann_.endpoints.size(); ++e) {
@@ -410,12 +399,6 @@ std::vector<SetupViolation> EventSimulator::violations_by_endpoint() const {
               return a.endpoint < b.endpoint;
             });
   return out;
-}
-
-bool EventSimulator::endpoint_violated(const std::string& name) const {
-  for (std::size_t e = 0; e < ann_.endpoints.size(); ++e)
-    if (ann_.endpoints[e].name == name) return endpoint_violations_[e] > 0;
-  return false;
 }
 
 netlist::Activity EventSimulator::activity() const {

@@ -91,7 +91,6 @@ class EventSimulator {
 
   /// Advances one clock cycle (events, rising edge, captures).
   void cycle();
-  void run(std::uint64_t cycles);
 
   Logic value(netlist::NetId net) const {
     return values_[static_cast<std::size_t>(net)];
@@ -117,7 +116,6 @@ class EventSimulator {
   std::uint64_t setup_violations() const { return total_violations_; }
   /// Per-endpoint violation counts, most-violated first.
   std::vector<SetupViolation> violations_by_endpoint() const;
-  bool endpoint_violated(const std::string& name) const;
 
   /// Switching activity in the engine-independent record consumed by
   /// power::analyze_power (includes glitch transitions).
@@ -134,8 +132,6 @@ class EventSimulator {
   /// The annotation this engine replays (fault-site enumeration reads the
   /// gate and flop tables from here).
   const TimingAnnotation& annotation() const { return ann_; }
-  /// Sequential instances in annotation order.
-  std::vector<netlist::InstId> flop_instances() const;
 
   // --- transient-fault surface (src/seu) ---
 

@@ -19,19 +19,6 @@ constexpr double kBrickShare = 0.06; // control block
 
 }  // namespace
 
-const char* defect_kind_name(DefectKind kind) {
-  switch (kind) {
-    case DefectKind::kCellStuck0: return "cell-stuck-0";
-    case DefectKind::kCellStuck1: return "cell-stuck-1";
-    case DefectKind::kWordlineDead: return "wordline-dead";
-    case DefectKind::kBitlineDead: return "bitline-dead";
-    case DefectKind::kBrickDead: return "brick-dead";
-    case DefectKind::kMatchlineStuck0: return "matchline-stuck-0";
-    case DefectKind::kMatchlineStuck1: return "matchline-stuck-1";
-  }
-  return "?";
-}
-
 void ArrayGeometry::validate() const {
   LIMS_CHECK_MSG(banks >= 1, "geometry needs at least one bank");
   LIMS_CHECK_MSG(rows >= 1 && cols >= 1,

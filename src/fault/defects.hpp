@@ -28,8 +28,6 @@ enum class DefectKind {
   kMatchlineStuck1, // CAM row always signals a match
 };
 
-const char* defect_kind_name(DefectKind kind);
-
 /// One sampled defect. Coordinates are physical (spare rows included);
 /// which fields are meaningful depends on `kind`.
 struct Defect {

@@ -70,14 +70,6 @@ int FaultMap::match_override(int b, int row) const {
   return it == ms.end() ? -1 : (it->second ? 1 : 0);
 }
 
-bool FaultMap::row_has_defect(int b, int row) const {
-  const BankFaults& bf = bank(b);
-  if (bf.dead_rows.count(row) || bf.match_stuck.count(row)) return true;
-  if (!bf.dead_cols.empty()) return true;
-  const auto it = bf.stuck.lower_bound({row, 0});
-  return it != bf.stuck.end() && it->first.first == row;
-}
-
 void FaultMap::apply_repair(const RepairResult& rr) {
   for (const RowRepair& r : rr.repairs) {
     LIMS_CHECK_MSG(r.bank >= 0 && r.bank < geom_.banks,

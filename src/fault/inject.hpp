@@ -41,8 +41,6 @@ class FaultMap {
   int faulty_bits_in_row(int bank, int row) const;
   /// CAM match-line fault: -1 none, 0 stuck-miss, 1 stuck-match.
   int match_override(int bank, int row) const;
-  /// Any defect at all touching the row (spare-usability check).
-  bool row_has_defect(int bank, int row) const;
 
   // --- repair remap ---
 

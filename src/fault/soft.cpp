@@ -21,12 +21,6 @@ SoftErrorBudget soft_error_budget(const tech::Process& process,
   return b;
 }
 
-double derated_fit(double raw_fit, double avf) {
-  LIMS_CHECK_MSG(avf >= 0.0 && avf <= 1.0, "AVF " << avf << " outside [0, 1]");
-  LIMS_CHECK_MSG(raw_fit >= 0.0, "negative raw FIT " << raw_fit);
-  return raw_fit * avf;
-}
-
 double fit_to_mtbf_hours(double fit) {
   LIMS_CHECK_MSG(fit >= 0.0, "negative FIT " << fit);
   if (fit == 0.0) return std::numeric_limits<double>::infinity();

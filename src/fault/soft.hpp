@@ -27,18 +27,12 @@ struct SoftErrorBudget {
   double fit_mem = 0.0;     // raw FIT of the whole array
   double fit_flop = 0.0;    // raw FIT of all sequential state
   double fit_set = 0.0;     // raw FIT of capturable combinational pulses
-
-  double fit_raw_total() const { return fit_mem + fit_flop + fit_set; }
 };
 
 /// Builds the raw budget from the process rates and the design's site
 /// counts (storage bits including ECC check bits, flop count, gate count).
 SoftErrorBudget soft_error_budget(const tech::Process& process,
                                   double mem_bits, double flops, double gates);
-
-/// Derates a raw FIT by a measured architectural vulnerability factor
-/// (a per-class rate out of a campaign, in [0, 1]).
-double derated_fit(double raw_fit, double avf);
 
 /// Mean time between failures in hours for a given FIT (inf at 0 FIT).
 double fit_to_mtbf_hours(double fit);

@@ -53,12 +53,6 @@ std::size_t Library::index_of(const std::string& name) const {
   return it == index_.end() ? npos : it->second;
 }
 
-void Library::merge(const Library& other) {
-  cells_.reserve(cells_.size() + other.cells().size());
-  index_.reserve(index_.size() + other.cells().size());
-  for (const auto& c : other.cells()) add(c);
-}
-
 std::vector<double> default_slew_axis() {
   using limsynth::units::ps;
   return {5 * ps, 20 * ps, 50 * ps, 120 * ps, 300 * ps};

@@ -80,9 +80,6 @@ class Library {
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
   std::size_t index_of(const std::string& name) const;
 
-  /// Merges all cells of `other` into this library.
-  void merge(const Library& other);
-
  private:
   std::string name_;
   std::vector<LibCell> cells_;

@@ -41,31 +41,4 @@ double Lut2D::lookup(double slew, double load) const {
   return lo + (hi - lo) * fs;
 }
 
-LinearFit fit_linear(const std::vector<double>& x, const std::vector<double>& y) {
-  LIMS_CHECK(x.size() == y.size() && x.size() >= 2);
-  const auto n = static_cast<double>(x.size());
-  double sx = 0, sy = 0, sxx = 0, sxy = 0, syy = 0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    sx += x[i];
-    sy += y[i];
-    sxx += x[i] * x[i];
-    sxy += x[i] * y[i];
-    syy += y[i] * y[i];
-  }
-  const double denom = n * sxx - sx * sx;
-  LIMS_CHECK_MSG(std::abs(denom) > 1e-300, "degenerate x axis in fit");
-  LinearFit fit;
-  fit.slope = (n * sxy - sx * sy) / denom;
-  fit.intercept = (sy - fit.slope * sx) / n;
-  double ss_res = 0.0, ss_tot = 0.0;
-  const double ybar = sy / n;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const double e = y[i] - fit(x[i]);
-    ss_res += e * e;
-    ss_tot += (y[i] - ybar) * (y[i] - ybar);
-  }
-  fit.r2 = ss_tot > 0 ? 1.0 - ss_res / ss_tot : 1.0;
-  return fit;
-}
-
 }  // namespace limsynth::liberty

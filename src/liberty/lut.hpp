@@ -47,15 +47,4 @@ class Lut2D {
   std::vector<double> values_;
 };
 
-/// Least-squares fit of samples (x, y) to y = a + b*x. Returns {a, b}.
-/// Used to curve-fit characterization sweeps before tabulation.
-struct LinearFit {
-  double intercept = 0.0;
-  double slope = 0.0;
-  double r2 = 0.0;
-
-  double operator()(double x) const { return intercept + slope * x; }
-};
-LinearFit fit_linear(const std::vector<double>& x, const std::vector<double>& y);
-
 }  // namespace limsynth::liberty

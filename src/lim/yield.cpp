@@ -25,32 +25,6 @@ double YieldResult::yield_at(double freq) const {
          static_cast<double>(fmax_samples.size());
 }
 
-YieldResult analyze_yield(
-    const tech::Process& nominal, int chips, std::uint64_t seed,
-    const std::function<double(const tech::Process&)>& measure_fmax,
-    std::vector<double> bins) {
-  LIMS_CHECK(chips >= 1);
-  LIMS_CHECK(measure_fmax != nullptr);
-  YieldResult res;
-  Rng rng(seed);
-  res.fmax_samples.reserve(static_cast<std::size_t>(chips));
-  for (int i = 0; i < chips; ++i) {
-    const tech::Process sample = nominal.monte_carlo_chip(rng);
-    const double f = measure_fmax(sample);
-    LIMS_CHECK_MSG(f > 0.0, "yield: chip " << i << " returned fmax " << f);
-    res.fmax_samples.push_back(f);
-    res.stats.add(f);
-  }
-  if (bins.empty()) {
-    const double mean = res.stats.mean();
-    for (double frac : {0.80, 0.85, 0.90, 0.95, 1.00, 1.05, 1.10})
-      bins.push_back(frac * mean);
-  }
-  std::sort(bins.begin(), bins.end());
-  for (double f : bins) res.yield_curve.emplace_back(f, res.yield_at(f));
-  return res;
-}
-
 fault::ArrayGeometry array_geometry(const SramConfig& cfg,
                                     const tech::Process& process) {
   cfg.validate();

@@ -38,14 +38,6 @@ struct YieldResult {
   double yield_at(double freq) const;
 };
 
-/// Runs `chips` Monte-Carlo samples. `measure_fmax` maps a sampled process
-/// to the chip's f_max (typically a flow run); `bins` are the frequencies
-/// for the yield curve (defaults to 80%..110% of the sample mean).
-YieldResult analyze_yield(
-    const tech::Process& nominal, int chips, std::uint64_t seed,
-    const std::function<double(const tech::Process&)>& measure_fmax,
-    std::vector<double> bins = {});
-
 // ------------------------------------------------- defect-aware yield
 
 struct FullYieldOptions {

@@ -8,8 +8,7 @@ namespace limsynth::netlist {
 
 namespace {
 
-// Local copy of synth::pin_base (netlist must not depend on synth):
-// strips the bus index, "DI[3]" -> "DI".
+// Base pin name: strips the bus index, "DI[3]" -> "DI".
 std::string base_of(const std::string& pin) {
   const auto pos = pin.find('[');
   return pos == std::string::npos ? pin : pin.substr(0, pos);
@@ -125,29 +124,6 @@ BoundDesign::BoundDesign(const Netlist& nl, const liberty::Library& lib)
               inst_pin_sorted_.begin() + last);
   }
 
-  // ------------------------------------------------ per-cell instance ranges
-  {
-    std::vector<std::uint32_t> counts(n_cells, 0);
-    for (std::size_t i = 0; i < n_inst; ++i)
-      if (inst_cell_[i] >= 0)
-        ++counts[static_cast<std::size_t>(inst_cell_[i])];
-    cell_inst_range_.resize(n_cells);
-    std::uint32_t at = 0;
-    for (std::size_t ci = 0; ci < n_cells; ++ci) {
-      cell_inst_range_[ci] = {at, at + counts[ci]};
-      at += counts[ci];
-    }
-    cell_insts_.resize(at);
-    std::vector<std::uint32_t> fill(n_cells, 0);
-    for (std::size_t i = 0; i < n_inst; ++i) {
-      const LibCellId cid = inst_cell_[i];
-      if (cid < 0) continue;
-      const auto ci = static_cast<std::size_t>(cid);
-      cell_insts_[cell_inst_range_[ci].first + fill[ci]++] =
-          static_cast<InstId>(i);
-    }
-  }
-
   // ------------------------------------------------------- connectivity
   net_driver_.assign(n_nets, SinkRef{-1, 0});
   net_sink_cap_.assign(n_nets, 0.0);
@@ -192,11 +168,6 @@ void BoundDesign::check_fresh() const {
                   << bound_revision_ << ", netlist now at revision "
                   << nl_->revision() << "); rebind before querying");
   }
-}
-
-Span<InstId> BoundDesign::instances_of(LibCellId cid) const {
-  const auto& r = cell_inst_range_[static_cast<std::size_t>(cid)];
-  return {cell_insts_.data() + r.first, r.second - r.first};
 }
 
 PinId BoundDesign::pin_id(const std::string& name) const {

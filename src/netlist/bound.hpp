@@ -125,8 +125,6 @@ class BoundDesign {
   const liberty::LibCell& lib_cell(LibCellId cid) const {
     return lib_->cells()[static_cast<std::size_t>(cid)];
   }
-  /// Live instances of a cell, grouped (SoA-friendly batch iteration).
-  Span<InstId> instances_of(LibCellId cid) const;
 
   // ------------------------------------------------------- timing tables
   /// The in-slot -> out-slot timing arc, or nullptr (non-timing pin).
@@ -227,8 +225,6 @@ class BoundDesign {
   std::vector<BoundConn> conns_;
 
   std::vector<CellTables> tables_;
-  std::vector<Range> cell_inst_range_;
-  std::vector<InstId> cell_insts_;
 
   std::vector<SinkRef> net_driver_;
   std::vector<Range> net_sink_range_;

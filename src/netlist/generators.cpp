@@ -23,7 +23,6 @@ NetId Builder::binary(const char* cell, NetId a, NetId b) {
 NetId Builder::inv(NetId a) { return unary("INV", a); }
 NetId Builder::buf(NetId a) { return unary("BUF", a); }
 NetId Builder::nand2(NetId a, NetId b) { return binary("NAND2", a, b); }
-NetId Builder::nor2(NetId a, NetId b) { return binary("NOR2", a, b); }
 NetId Builder::and2(NetId a, NetId b) { return binary("AND2", a, b); }
 NetId Builder::or2(NetId a, NetId b) { return binary("OR2", a, b); }
 NetId Builder::xor2(NetId a, NetId b) { return binary("XOR2", a, b); }
@@ -54,18 +53,6 @@ NetId Builder::and_tree(std::vector<NetId> xs) {
     std::vector<NetId> next;
     for (std::size_t i = 0; i + 1 < xs.size(); i += 2)
       next.push_back(and2(xs[i], xs[i + 1]));
-    if (xs.size() % 2) next.push_back(xs.back());
-    xs = std::move(next);
-  }
-  return xs[0];
-}
-
-NetId Builder::or_tree(std::vector<NetId> xs) {
-  LIMS_CHECK(!xs.empty());
-  while (xs.size() > 1) {
-    std::vector<NetId> next;
-    for (std::size_t i = 0; i + 1 < xs.size(); i += 2)
-      next.push_back(or2(xs[i], xs[i + 1]));
     if (xs.size() % 2) next.push_back(xs.back());
     xs = std::move(next);
   }
@@ -115,15 +102,6 @@ std::vector<NetId> Builder::decoder(const std::vector<NetId>& addr,
     for (std::size_t l = 0; l < lo_hot.size(); ++l)
       onehot.push_back(and2(hi_hot[h], lo_hot[l]));
   return onehot;
-}
-
-NetId Builder::equal(const std::vector<NetId>& a, const std::vector<NetId>& b) {
-  LIMS_CHECK(a.size() == b.size() && !a.empty());
-  std::vector<NetId> eq_bits;
-  eq_bits.reserve(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i)
-    eq_bits.push_back(xnor2(a[i], b[i]));
-  return and_tree(std::move(eq_bits));
 }
 
 NetId Builder::less_than(const std::vector<NetId>& a,

@@ -28,7 +28,6 @@ class Builder {
   NetId inv(NetId a);
   NetId buf(NetId a);
   NetId nand2(NetId a, NetId b);
-  NetId nor2(NetId a, NetId b);
   NetId and2(NetId a, NetId b);
   NetId or2(NetId a, NetId b);
   NetId xor2(NetId a, NetId b);
@@ -39,7 +38,6 @@ class Builder {
 
   // --- trees ---
   NetId and_tree(std::vector<NetId> xs);
-  NetId or_tree(std::vector<NetId> xs);
 
   // --- blocks ---
   /// Full decoder: n address bits -> 2^n one-hot outputs. When `enable`
@@ -49,8 +47,6 @@ class Builder {
   std::vector<NetId> decoder(const std::vector<NetId>& addr,
                              NetId enable = kNoNet);
 
-  /// Equality comparator over two equal-width buses.
-  NetId equal(const std::vector<NetId>& a, const std::vector<NetId>& b);
 
   /// Unsigned less-than comparator: out = (a < b). Ripple from the MSB.
   NetId less_than(const std::vector<NetId>& a, const std::vector<NetId>& b);

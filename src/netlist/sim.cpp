@@ -261,11 +261,6 @@ std::uint64_t Simulator::toggles(NetId net) const {
   return toggle_counts_[static_cast<std::size_t>(net)];
 }
 
-double Simulator::activity(NetId net) const {
-  if (cycles_ == 0) return 0.0;
-  return static_cast<double>(toggles(net)) / static_cast<double>(cycles_);
-}
-
 std::uint64_t Simulator::macro_accesses(InstId inst) const {
   return macros_.accesses(inst);
 }

@@ -110,8 +110,6 @@ class Simulator {
   /// Activity statistics for power analysis.
   std::uint64_t toggles(NetId net) const;
   std::uint64_t cycles() const { return cycles_; }
-  /// Toggle rate per cycle of a net (both edges counted).
-  double activity(NetId net) const;
   /// Number of clock cycles in which a macro instance was "accessed"
   /// (its model reported activity via note_macro_access).
   std::uint64_t macro_accesses(InstId inst) const;

@@ -1,10 +1,8 @@
 #include "netlist/verilog.hpp"
 
+#include <cctype>
 #include <map>
 #include <ostream>
-#include <sstream>
-
-#include "util/error.hpp"
 
 namespace limsynth::netlist {
 
@@ -89,147 +87,5 @@ void write_verilog(const Netlist& nl, std::ostream& os) {
   }
   os << "endmodule\n";
 }
-
-std::string to_verilog_string(const Netlist& nl) {
-  std::ostringstream os;
-  write_verilog(nl, os);
-  return os.str();
-}
-
-// ------------------------------------------------------------------ parser
-
-namespace {
-
-class VParser {
- public:
-  explicit VParser(const std::string& text) : text_(text) {}
-
-  Netlist parse() {
-    expect_word("module");
-    Netlist nl(parse_ident());
-    expect_char('(');
-    std::vector<std::string> port_order;
-    if (peek() != ')') {
-      for (;;) {
-        port_order.push_back(parse_ident());
-        if (peek() == ')') break;
-        expect_char(',');
-      }
-    }
-    expect_char(')');
-    expect_char(';');
-
-    std::map<std::string, PortDir> port_dir;
-    std::map<std::string, NetId> nets;
-    std::map<std::string, std::string> output_alias;  // port -> net
-
-    auto net_of = [&](const std::string& name) {
-      const auto it = nets.find(name);
-      if (it != nets.end()) return it->second;
-      const NetId id = nl.add_net(name);
-      nets[name] = id;
-      return id;
-    };
-
-    for (;;) {
-      const std::string word = parse_word();
-      if (word == "endmodule") break;
-      if (word == "input" || word == "output") {
-        port_dir[parse_ident()] = word == "input" ? PortDir::kInput
-                                                  : PortDir::kOutput;
-        expect_char(';');
-      } else if (word == "wire") {
-        (void)net_of(parse_ident());
-        expect_char(';');
-      } else if (word == "assign") {
-        const std::string lhs = parse_ident();
-        expect_char('=');
-        const std::string rhs = parse_ident();
-        expect_char(';');
-        // input ports: net = port; output ports: port = net.
-        if (port_dir.count(lhs)) {
-          output_alias[lhs] = rhs;
-        } else {
-          // lhs is the internal net fed by input port rhs; bind them.
-          nl.add_port(rhs, PortDir::kInput, net_of(lhs));
-          if (rhs == "clk") nl.set_clock(net_of(lhs));
-          port_dir.erase(rhs);
-        }
-      } else {
-        // Cell instance: CELL name ( .PIN(net), ... );
-        const std::string cell = word;
-        const std::string iname = parse_ident();
-        expect_char('(');
-        std::vector<Connection> conns;
-        if (peek() != ')') {
-          for (;;) {
-            expect_char('.');
-            const std::string pin = parse_ident();
-            expect_char('(');
-            conns.push_back({pin, net_of(parse_ident())});
-            expect_char(')');
-            if (peek() == ')') break;
-            expect_char(',');
-          }
-        }
-        expect_char(')');
-        expect_char(';');
-        nl.add_instance(iname, cell, std::move(conns));
-      }
-    }
-    for (const auto& [port, net] : output_alias)
-      nl.add_port(port, PortDir::kOutput, net_of(net));
-    return nl;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size()) {
-      if (std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      } else if (text_.compare(pos_, 2, "//") == 0) {
-        while (pos_ < text_.size() && text_[pos_] != '\n') ++pos_;
-      } else {
-        break;
-      }
-    }
-  }
-  char peek() {
-    skip_ws();
-    LIMS_CHECK_MSG(pos_ < text_.size(), "verilog parse: unexpected EOF");
-    return text_[pos_];
-  }
-  void expect_char(char ch) {
-    LIMS_CHECK_MSG(peek() == ch, "verilog parse: expected '"
-                                     << ch << "', found '" << peek() << "'");
-    ++pos_;
-  }
-  std::string parse_word() {
-    skip_ws();
-    std::string out;
-    while (pos_ < text_.size()) {
-      const char ch = text_[pos_];
-      if (std::isalnum(static_cast<unsigned char>(ch)) || ch == '_') {
-        out += ch;
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    LIMS_CHECK_MSG(!out.empty(), "verilog parse: expected identifier");
-    return out;
-  }
-  std::string parse_ident() { return parse_word(); }
-  void expect_word(const std::string& w) {
-    LIMS_CHECK_MSG(parse_word() == w, "verilog parse: expected " << w);
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
-Netlist parse_verilog(const std::string& text) { return VParser(text).parse(); }
 
 }  // namespace limsynth::netlist

@@ -119,18 +119,6 @@ PowerReport analyze_power(const BoundDesign& bd, const netlist::Activity& act,
   return rep;
 }
 
-PowerReport analyze_power(const Netlist& nl, const liberty::Library& lib,
-                          const netlist::Activity& act,
-                          const PowerOptions& opt) {
-  return analyze_power(BoundDesign(nl, lib), act, opt);
-}
-
-PowerReport analyze_power(const Netlist& nl, const liberty::Library& lib,
-                          const netlist::Simulator& sim,
-                          const PowerOptions& opt) {
-  return analyze_power(nl, lib, netlist::Activity::from_simulator(sim), opt);
-}
-
 PowerReport analyze_power(const BoundDesign& bd, const netlist::Simulator& sim,
                           const PowerOptions& opt) {
   return analyze_power(bd, netlist::Activity::from_simulator(sim), opt);

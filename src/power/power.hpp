@@ -57,19 +57,8 @@ PowerReport analyze_power(const netlist::BoundDesign& bound,
                           const netlist::Activity& activity,
                           const PowerOptions& options = {});
 
-/// Convenience: binds and analyzes. Callers running several analyses
-/// should bind once and use the overload above.
-PowerReport analyze_power(const netlist::Netlist& nl,
-                          const liberty::Library& lib,
-                          const netlist::Activity& activity,
-                          const PowerOptions& options = {});
-
 /// Convenience: snapshots activity from a settle-based simulation run
 /// (glitch component is necessarily zero).
-PowerReport analyze_power(const netlist::Netlist& nl,
-                          const liberty::Library& lib,
-                          const netlist::Simulator& sim,
-                          const PowerOptions& options = {});
 PowerReport analyze_power(const netlist::BoundDesign& bound,
                           const netlist::Simulator& sim,
                           const PowerOptions& options = {});

@@ -89,32 +89,6 @@ SparseMatrix SparseMatrix::from_csc(int rows, int cols,
   return m;
 }
 
-std::vector<Entry> SparseMatrix::column(int col) const {
-  LIMS_CHECK(col >= 0 && col < cols_);
-  std::vector<Entry> out;
-  out.reserve(static_cast<std::size_t>(col_nnz(col)));
-  for (int k = col_begin(col); k < col_end(col); ++k)
-    out.push_back({row_index(k), value(k)});
-  return out;
-}
-
-double SparseMatrix::density() const {
-  if (rows_ == 0 || cols_ == 0) return 0.0;
-  return static_cast<double>(nnz()) /
-         (static_cast<double>(rows_) * static_cast<double>(cols_));
-}
-
-double SparseMatrix::avg_col_nnz() const {
-  if (cols_ == 0) return 0.0;
-  return static_cast<double>(nnz()) / static_cast<double>(cols_);
-}
-
-int SparseMatrix::max_col_nnz() const {
-  int best = 0;
-  for (int c = 0; c < cols_; ++c) best = std::max(best, col_nnz(c));
-  return best;
-}
-
 bool SparseMatrix::approx_equal(const SparseMatrix& other,
                                 double rel_tol) const {
   if (rows_ != other.rows_ || cols_ != other.cols_ || nnz() != other.nnz())

@@ -42,13 +42,6 @@ class SparseMatrix {
   int row_index(int k) const { return row_idx_[static_cast<std::size_t>(k)]; }
   double value(int k) const { return values_[static_cast<std::size_t>(k)]; }
 
-  /// Entries of one column, sorted by row.
-  std::vector<Entry> column(int col) const;
-
-  double density() const;
-  double avg_col_nnz() const;
-  int max_col_nnz() const;
-
   /// Approximate equality (same pattern, values within rel_tol).
   bool approx_equal(const SparseMatrix& other, double rel_tol = 1e-9) const;
 

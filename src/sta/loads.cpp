@@ -31,10 +31,4 @@ NetLoads compute_net_loads(const netlist::BoundDesign& bd,
   return out;
 }
 
-NetLoads compute_net_loads(const netlist::Netlist& nl,
-                           const liberty::Library& lib,
-                           const NetLoadOptions& opt) {
-  return compute_net_loads(netlist::BoundDesign(nl, lib), opt);
-}
-
 }  // namespace limsynth::sta

@@ -40,11 +40,4 @@ struct NetLoads {
 NetLoads compute_net_loads(const netlist::BoundDesign& bound,
                            const NetLoadOptions& options);
 
-/// Convenience: binds `nl` against `lib` and computes loads. Throws when a
-/// sink pin is missing from its cell's library model. Callers running
-/// several analyses should bind once and use the overload above.
-NetLoads compute_net_loads(const netlist::Netlist& nl,
-                           const liberty::Library& lib,
-                           const NetLoadOptions& options);
-
 }  // namespace limsynth::sta

@@ -238,9 +238,4 @@ StaResult run_sta(const BoundDesign& bd, const StaOptions& opt) {
   return res;
 }
 
-StaResult run_sta(const Netlist& nl, const liberty::Library& lib,
-                  const StaOptions& opt) {
-  return run_sta(BoundDesign(nl, lib), opt);
-}
-
 }  // namespace limsynth::sta

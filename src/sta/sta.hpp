@@ -64,10 +64,4 @@ struct StaResult {
 StaResult run_sta(const netlist::BoundDesign& bound,
                   const StaOptions& options = {});
 
-/// Convenience: binds and runs. Throws when the netlist references cells
-/// missing from `lib` or contains a combinational cycle. Callers running
-/// several analyses should bind once and use the overload above.
-StaResult run_sta(const netlist::Netlist& nl, const liberty::Library& lib,
-                  const StaOptions& options = {});
-
 }  // namespace limsynth::sta

@@ -13,11 +13,6 @@ std::string cell_stem(const std::string& cell) {
   return pos == std::string::npos ? cell : cell.substr(0, pos);
 }
 
-std::string pin_base(const std::string& pin) {
-  const auto pos = pin.find('[');
-  return pos == std::string::npos ? pin : pin.substr(0, pos);
-}
-
 namespace {
 
 using netlist::InstId;

@@ -47,7 +47,4 @@ int resize_gates(netlist::Netlist& nl, const liberty::Library& lib,
 /// Strips the drive suffix from a cell name ("NAND2_X4" -> "NAND2").
 std::string cell_stem(const std::string& cell);
 
-/// Base pin name: "DWL[3]" -> "DWL".
-std::string pin_base(const std::string& pin);
-
 }  // namespace limsynth::synth

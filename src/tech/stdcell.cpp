@@ -149,17 +149,6 @@ StdCellLib::StdCellLib(const Process& process) : process_(process) {
   }
 }
 
-const StdCell& StdCellLib::smallest(CellFunc func) const {
-  const StdCell* best = nullptr;
-  for (const auto& c : cells_) {
-    if (c.func != func) continue;
-    if (!best || c.drive < best->drive) best = &c;
-  }
-  LIMS_CHECK_MSG(best != nullptr,
-                 "no cell with function " << cell_func_name(func));
-  return *best;
-}
-
 const StdCell& StdCellLib::pick(CellFunc func, double min_drive) const {
   const StdCell* best = nullptr;       // smallest drive >= min_drive
   const StdCell* largest = nullptr;    // fallback: largest available

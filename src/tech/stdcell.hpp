@@ -106,9 +106,6 @@ class StdCellLib {
   const Process& process() const { return process_; }
   const std::vector<StdCell>& cells() const { return cells_; }
 
-  /// Smallest cell of the given function; throws if absent.
-  const StdCell& smallest(CellFunc func) const;
-
   /// Cell of the given function whose drive is closest to (and >= when
   /// possible) the requested drive.
   const StdCell& pick(CellFunc func, double min_drive) const;

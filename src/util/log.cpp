@@ -6,7 +6,7 @@
 namespace limsynth {
 
 namespace {
-LogLevel g_level = LogLevel::kWarn;
+constexpr LogLevel kLevel = LogLevel::kWarn;
 std::mutex g_mutex;
 
 const char* level_tag(LogLevel level) {
@@ -21,12 +21,11 @@ const char* level_tag(LogLevel level) {
 }
 }  // namespace
 
-void set_log_level(LogLevel level) { g_level = level; }
-LogLevel log_level() { return g_level; }
+LogLevel log_level() { return kLevel; }
 
 namespace detail {
 void log_emit(LogLevel level, const std::string& msg) {
-  if (static_cast<int>(level) < static_cast<int>(g_level)) return;
+  if (static_cast<int>(level) < static_cast<int>(kLevel)) return;
   std::lock_guard<std::mutex> lock(g_mutex);
   std::fprintf(stderr, "[limsynth %s] %s\n", level_tag(level), msg.c_str());
 }

@@ -9,8 +9,7 @@ namespace limsynth {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 
-/// Global log threshold; messages below it are dropped.
-void set_log_level(LogLevel level);
+/// Log threshold (kWarn); messages below it are dropped.
 LogLevel log_level();
 
 namespace detail {

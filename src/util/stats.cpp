@@ -27,17 +27,6 @@ double OnlineStats::variance() const {
 
 double OnlineStats::stddev() const { return std::sqrt(variance()); }
 
-double quantile(std::vector<double> values, double q) {
-  LIMS_CHECK(!values.empty());
-  LIMS_CHECK(q >= 0.0 && q <= 1.0);
-  std::sort(values.begin(), values.end());
-  const double pos = q * static_cast<double>(values.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const auto hi = std::min(lo + 1, values.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
-}
-
 WilsonInterval wilson_interval(std::uint64_t successes, std::uint64_t trials,
                                double z) {
   LIMS_CHECK_MSG(successes <= trials,
@@ -53,16 +42,6 @@ WilsonInterval wilson_interval(std::uint64_t successes, std::uint64_t trials,
       z * std::sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n));
   return {std::max(0.0, (center - spread) / denom),
           std::min(1.0, (center + spread) / denom)};
-}
-
-double geomean(const std::vector<double>& values) {
-  LIMS_CHECK(!values.empty());
-  double log_sum = 0.0;
-  for (double v : values) {
-    LIMS_CHECK_MSG(v > 0.0, "geomean requires positive values, got " << v);
-    log_sum += std::log(v);
-  }
-  return std::exp(log_sum / static_cast<double>(values.size()));
 }
 
 }  // namespace limsynth

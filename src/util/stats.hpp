@@ -4,7 +4,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace limsynth {
 
@@ -29,10 +28,6 @@ class OnlineStats {
   double max_ = 0.0;
 };
 
-/// Returns the q-quantile (0 <= q <= 1) of `values` by linear interpolation
-/// between order statistics. The input is copied and sorted.
-double quantile(std::vector<double> values, double q);
-
 /// Wilson score confidence interval for a binomial proportion — the
 /// interval of choice for fault-injection campaigns because it stays
 /// honest at rates near 0 and 1 where the normal approximation collapses.
@@ -48,8 +43,5 @@ struct WilsonInterval {
 /// Zero trials yield the vacuous [0, 1] interval.
 WilsonInterval wilson_interval(std::uint64_t successes, std::uint64_t trials,
                                double z = 1.96);
-
-/// Geometric mean; all values must be positive.
-double geomean(const std::vector<double>& values);
 
 }  // namespace limsynth

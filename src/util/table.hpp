@@ -27,8 +27,6 @@ class Table {
   /// right-aligned otherwise (numeric convention).
   void print(std::ostream& os) const;
 
-  std::size_t row_count() const { return rows_.size(); }
-
  private:
   struct Row {
     bool separator = false;

@@ -117,6 +117,12 @@ FuzzDesign make_fuzz_design(Rng& rng) {
   Builder b(d.nl, "fz");
   std::vector<NetId> pool = d.inputs;
   const auto pick = [&] { return pool[rng.below(pool.size())]; };
+  const auto nor2 = [&](NetId x, NetId y) {
+    const NetId out = d.nl.make_net();
+    d.nl.add_instance("fz/NOR2_" + std::to_string(pool.size()), "NOR2_X1",
+                      {{"A", x}, {"B", y}, {"Y", out}});
+    return out;
+  };
   const int n_ops = 24 + static_cast<int>(rng.below(24));
   for (int i = 0; i < n_ops; ++i) {
     NetId y = kNoNet;
@@ -124,7 +130,7 @@ FuzzDesign make_fuzz_design(Rng& rng) {
       case 0: y = b.inv(pick()); break;
       case 1: y = b.buf(pick()); break;
       case 2: y = b.nand2(pick(), pick()); break;
-      case 3: y = b.nor2(pick(), pick()); break;
+      case 3: y = nor2(pick(), pick()); break;
       case 4: y = b.and2(pick(), pick()); break;
       case 5: y = b.or2(pick(), pick()); break;
       case 6: y = b.xor2(pick(), pick()); break;

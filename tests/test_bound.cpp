@@ -13,7 +13,6 @@
 #include "netlist/sim.hpp"
 #include "place/place.hpp"
 #include "power/power.hpp"
-#include "sta/loads.hpp"
 #include "sta/sta.hpp"
 #include "synth/synth.hpp"
 #include "tech/process.hpp"
@@ -21,6 +20,11 @@
 
 namespace limsynth {
 namespace {
+
+/// Base pin name: "RWL[17]" -> "RWL".
+std::string pin_base(const std::string& pin) {
+  return pin.substr(0, pin.find('['));
+}
 
 using netlist::BoundConn;
 using netlist::BoundDesign;
@@ -81,7 +85,7 @@ TEST(Bound, ResolvesCellsAndConnsOnce) {
       EXPECT_EQ(c.net, inst.conns[k].net);
       EXPECT_EQ(bd.pin_name(c.pin), inst.conns[k].pin);
       EXPECT_EQ(c.is_output,
-                bd.cell(id).find_output(synth::pin_base(inst.conns[k].pin)) !=
+                bd.cell(id).find_output(pin_base(inst.conns[k].pin)) !=
                     nullptr);
       if (const NetId* via_find = inst.find_pin(inst.conns[k].pin)) {
         EXPECT_EQ(bd.pin_net(id, c.pin), *via_find);
@@ -110,7 +114,7 @@ TEST(Bound, ConnectivityMatchesBruteForceScan) {
     const liberty::LibCell& cell = ctx.lib.cell(inst.cell);
     for (const auto& c : inst.conns) {
       const auto n = static_cast<std::size_t>(c.net);
-      const std::string base = synth::pin_base(c.pin);
+      const std::string base = pin_base(c.pin);
       if (cell.find_output(base) != nullptr) {
         driver[n] = {id, c.pin};
       } else {
@@ -188,21 +192,6 @@ TEST(Bound, UnmodeledPinRejectedWhateverItsName) {
   }
 }
 
-TEST(Bound, InstancesOfGroupsByCell) {
-  Ctx ctx;
-  const Netlist nl = make_pipeline();
-  const BoundDesign bd(nl, ctx.lib);
-  std::size_t grouped = 0;
-  for (std::size_t ci = 0; ci < bd.cell_count(); ++ci) {
-    const auto cid = static_cast<netlist::LibCellId>(ci);
-    for (const InstId id : bd.instances_of(cid)) {
-      EXPECT_EQ(bd.cell_id(id), cid);
-      ++grouped;
-    }
-  }
-  EXPECT_EQ(grouped, nl.live_instance_count());
-}
-
 TEST(Bound, AnalysesMatchLegacyEntryPoints) {
   Ctx ctx;
   Netlist nl = make_pipeline();
@@ -210,21 +199,8 @@ TEST(Bound, AnalysesMatchLegacyEntryPoints) {
   const Netlist& cnl = nl;
   const BoundDesign bd(cnl, ctx.lib);
 
-  // Net loads, STA, and placement agree exactly between the string-keyed
-  // wrappers and the slot-indexed bound paths.
-  const sta::NetLoads loads_legacy =
-      sta::compute_net_loads(cnl, ctx.lib, sta::NetLoadOptions{});
-  const sta::NetLoads loads_bound =
-      sta::compute_net_loads(bd, sta::NetLoadOptions{});
-  ASSERT_EQ(loads_legacy.load.size(), loads_bound.load.size());
-  for (std::size_t n = 0; n < loads_legacy.load.size(); ++n)
-    EXPECT_DOUBLE_EQ(loads_legacy.load[n], loads_bound.load[n]);
-
-  const sta::StaResult sta_legacy = sta::run_sta(cnl, ctx.lib);
-  const sta::StaResult sta_bound = sta::run_sta(bd);
-  EXPECT_DOUBLE_EQ(sta_legacy.min_period, sta_bound.min_period);
-  EXPECT_EQ(sta_legacy.critical_endpoint, sta_bound.critical_endpoint);
-
+  // Placement agrees exactly between the string-keyed wrapper and the
+  // slot-indexed bound path.
   const place::Floorplan fp_legacy =
       place::place_design(cnl, ctx.lib, ctx.process);
   const place::Floorplan fp_bound = place::place_design(bd, ctx.process);
@@ -246,12 +222,14 @@ TEST(Bound, PowerMatchesLegacyEntryPoint) {
     sim.settle();
     sim.clock_edge();
   }
+  // The settle-engine convenience snapshots the same activity record the
+  // engine-independent entry point prices.
   power::PowerOptions popt;
   popt.frequency = 500e6;
-  const power::PowerReport legacy =
-      power::analyze_power(cnl, ctx.lib, sim, popt);
   const BoundDesign bd(cnl, ctx.lib);
-  const power::PowerReport bound = power::analyze_power(bd, sim, popt);
+  const power::PowerReport legacy = power::analyze_power(bd, sim, popt);
+  const power::PowerReport bound = power::analyze_power(
+      bd, netlist::Activity::from_simulator(sim), popt);
   EXPECT_DOUBLE_EQ(legacy.total(), bound.total());
   EXPECT_DOUBLE_EQ(legacy.combinational, bound.combinational);
   EXPECT_DOUBLE_EQ(legacy.sequential, bound.sequential);

@@ -123,13 +123,6 @@ TEST(Estimator, LargerLoadSlowerOutput) {
             estimate_brick(b, 2 * fF).read_delay);
 }
 
-TEST(Estimator, ReadPowerScalesWithFrequency) {
-  const Brick b = compile_brick({BitcellKind::kSram8T, 16, 10, 1}, proc());
-  const BrickEstimate e = estimate_brick(b);
-  EXPECT_GT(e.read_power_at(800e6), e.read_power_at(100e6));
-  EXPECT_GT(e.read_power_at(0.0), 0.0);  // leakage floor
-}
-
 TEST(Estimator, CornersOrderDelay) {
   const BrickSpec spec{BitcellKind::kSram8T, 16, 10, 1};
   const auto tt = estimate_brick(compile_brick(spec, proc()));
@@ -403,17 +396,6 @@ TEST(LibraryGen, CamGetsMatchArc) {
   const liberty::LibCell cell = make_brick_libcell(cam);
   EXPECT_NE(cell.find_arc("CK", "MATCH"), nullptr);
   EXPECT_NE(cell.find_input("SDATA"), nullptr);
-}
-
-TEST(LibraryGen, LibraryOfSpecsBuilds) {
-  const liberty::Library lib = make_brick_library(
-      {
-          {BitcellKind::kSram8T, 16, 8, 1},
-          {BitcellKind::kSram8T, 32, 8, 2},
-          {BitcellKind::kCamNor10T, 16, 10, 1},
-      },
-      proc());
-  EXPECT_EQ(lib.cells().size(), 3u);
 }
 
 TEST(BrickCache, MemoizesByShapeAndProcess) {

@@ -61,14 +61,6 @@ TEST(RcTree, SideBranchLoadsButDoesNotBlock) {
   EXPECT_GT(after, before);  // added cap upstream slows the far node
 }
 
-TEST(RcTree, SwingDelayUsesLogFactor) {
-  RcTree tree(10 * kOhm, 0.0);
-  int n = tree.add_node(0, 0.0, 10 * fF);
-  const double elmore = tree.elmore(n);
-  EXPECT_NEAR(tree.delay_to_swing(n, 0.5), std::log(2.0) * elmore, 1e-18);
-  EXPECT_GT(tree.delay_to_swing(n, 0.9), tree.delay_to_swing(n, 0.5));
-}
-
 // ---------------------------------------------------------- logical effort
 
 TEST(LogicalEffort, InverterChainFanout64) {
@@ -87,8 +79,9 @@ TEST(LogicalEffort, InverterChainFanout64) {
 TEST(LogicalEffort, BufferedBeatsUnbufferedForBigLoads) {
   std::vector<PathStage> nand{{4.0 / 3.0, 1.0, 2.0}};
   const SizedPath bare = size_path(nand, 1.0, 256.0);
-  const SizedPath buffered = size_path_with_buffers(nand, 1.0, 256.0, 6);
-  EXPECT_LT(buffered.delay_tau, bare.delay_tau);
+  std::vector<PathStage> buffered = nand;
+  buffered.insert(buffered.end(), 2, PathStage{1.0, 1.0, 1.0});
+  EXPECT_LT(size_path(buffered, 1.0, 256.0).delay_tau, bare.delay_tau);
 }
 
 TEST(LogicalEffort, BranchingIncreasesDelay) {
@@ -99,8 +92,11 @@ TEST(LogicalEffort, BranchingIncreasesDelay) {
 }
 
 TEST(LogicalEffort, BufferChainDelayGrowsWithFanout) {
-  EXPECT_LT(buffer_chain_delay_tau(4.0), buffer_chain_delay_tau(64.0));
-  EXPECT_LT(buffer_chain_delay_tau(64.0), buffer_chain_delay_tau(1024.0));
+  const std::vector<PathStage> chain(3, PathStage{1.0, 1.0, 1.0});
+  EXPECT_LT(size_path(chain, 1.0, 4.0).delay_tau,
+            size_path(chain, 1.0, 64.0).delay_tau);
+  EXPECT_LT(size_path(chain, 1.0, 64.0).delay_tau,
+            size_path(chain, 1.0, 1024.0).delay_tau);
 }
 
 // -------------------------------------------------------------- transient

@@ -399,10 +399,9 @@ TEST(Evsim, GlitchPowerComponentOnlyFromEventEngine) {
     ev.cycle();
   }
 
-  const power::PowerReport settle_pw =
-      power::analyze_power(rig.design.nl, rig.design.lib, golden, {});
-  const power::PowerReport ev_pw = power::analyze_power(
-      rig.design.nl, rig.design.lib, ev.activity(), {});
+  const netlist::BoundDesign bd(rig.design.nl, rig.design.lib);
+  const power::PowerReport settle_pw = power::analyze_power(bd, golden, {});
+  const power::PowerReport ev_pw = power::analyze_power(bd, ev.activity(), {});
   EXPECT_EQ(settle_pw.glitch, 0.0);
   EXPECT_GT(ev_pw.glitch, 0.0);
   EXPECT_GT(ev_pw.total(), 0.0);

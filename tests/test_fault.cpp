@@ -335,13 +335,9 @@ TEST(SoftError, BudgetScalesLinearlyWithSiteCounts) {
   EXPECT_NEAR(two.fit_mem, 2.0 * one.fit_mem, 1e-12);
   EXPECT_NEAR(two.fit_flop, 2.0 * one.fit_flop, 1e-12);
   EXPECT_NEAR(two.fit_set, 2.0 * one.fit_set, 1e-12);
-  EXPECT_NEAR(one.fit_raw_total(), one.fit_mem + one.fit_flop + one.fit_set,
-              1e-12);
 }
 
 TEST(SoftError, DeratingAndMtbfArithmetic) {
-  EXPECT_NEAR(derated_fit(1000.0, 0.25), 250.0, 1e-9);
-  EXPECT_EQ(derated_fit(1000.0, 0.0), 0.0);
   // 1 FIT = one failure per 1e9 device-hours.
   EXPECT_NEAR(fit_to_mtbf_hours(1.0), 1e9, 1e-3);
   EXPECT_TRUE(std::isinf(fit_to_mtbf_hours(0.0)));

@@ -43,13 +43,6 @@ TEST(Lut2D, RejectsMalformedAxes) {
   EXPECT_THROW(Lut2D({1.0, 2.0}, {1.0, 2.0}, {1, 2, 3}), Error);
 }
 
-TEST(LinearFit, RecoversLine) {
-  const LinearFit fit = fit_linear({1, 2, 3, 4}, {3, 5, 7, 9});
-  EXPECT_NEAR(fit.slope, 2.0, 1e-12);
-  EXPECT_NEAR(fit.intercept, 1.0, 1e-12);
-  EXPECT_NEAR(fit.r2, 1.0, 1e-12);
-}
-
 TEST(Library, AddAndLookup) {
   Library lib("test");
   LibCell c;

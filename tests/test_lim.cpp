@@ -402,7 +402,12 @@ TEST(Yield, DistributionAndCurve) {
         brick::compile_brick({tech::BitcellKind::kSram8T, 16, 10, 2}, p);
     return 1.0 / brick::estimate_brick(b).min_cycle;
   };
-  const YieldResult res = analyze_yield(ctx.process, 40, 77, measure);
+  FullYieldOptions opt;
+  opt.chips = 40;
+  opt.seed = 77;
+  const SramConfig cfg{32, 10, 1, 16};
+  const YieldResult res =
+      analyze_yield_full(cfg, ctx.process, opt, measure).parametric;
   EXPECT_EQ(res.fmax_samples.size(), 40u);
   EXPECT_GT(res.stats.stddev(), 0.0);
   // Yield is monotone non-increasing in frequency.
@@ -412,7 +417,8 @@ TEST(Yield, DistributionAndCurve) {
   EXPECT_DOUBLE_EQ(res.yield_at(0.5 * res.stats.mean()), 1.0);
   EXPECT_DOUBLE_EQ(res.yield_at(2.0 * res.stats.mean()), 0.0);
   // Determinism.
-  const YieldResult again = analyze_yield(ctx.process, 40, 77, measure);
+  const YieldResult again =
+      analyze_yield_full(cfg, ctx.process, opt, measure).parametric;
   EXPECT_EQ(again.fmax_samples, res.fmax_samples);
 }
 

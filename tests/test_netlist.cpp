@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <sstream>
 
 #include "netlist/bound.hpp"
 #include "netlist/generators.hpp"
@@ -211,7 +212,6 @@ TEST_F(GenSim, ComparatorsExhaustive) {
   init_inputs(8);
   const std::vector<NetId> a(inputs_.begin(), inputs_.begin() + 4);
   const std::vector<NetId> b(inputs_.begin() + 4, inputs_.end());
-  const NetId eq = b_.equal(a, b);
   const NetId lt = b_.less_than(a, b);
   Simulator sim = make_sim();
   for (int x = 0; x < 16; ++x) {
@@ -219,7 +219,6 @@ TEST_F(GenSim, ComparatorsExhaustive) {
       sim.set_bus(a, static_cast<std::uint64_t>(x));
       sim.set_bus(b, static_cast<std::uint64_t>(y));
       sim.settle();
-      EXPECT_EQ(sim.value(eq), x == y);
       EXPECT_EQ(sim.value(lt), x < y);
     }
   }
@@ -295,9 +294,13 @@ TEST_F(GenSim, ActivityCounting) {
   EXPECT_EQ(sim.toggles(y), before + 2);
 }
 
-TEST(Verilog, RoundTripPreservesFunction) {
-  // Build a small design, emit Verilog, re-parse, and verify the parsed
-  // copy computes the same function.
+std::string verilog_text(const Netlist& nl) {
+  std::ostringstream os;
+  write_verilog(nl, os);
+  return os.str();
+}
+
+TEST(Verilog, WritesHeaderPortsAndOneInstanceLinePerCell) {
   Netlist nl("rt");
   Builder b(nl, "g");
   const NetId a = nl.add_net("a");
@@ -306,36 +309,28 @@ TEST(Verilog, RoundTripPreservesFunction) {
   nl.add_port("a", PortDir::kInput, a);
   nl.add_port("b", PortDir::kInput, bb);
   nl.add_port("sel", PortDir::kInput, sel);
-  const NetId y = b.mux2(b.xor2(a, bb), b.nand2(a, bb), sel);
-  nl.add_port("y", PortDir::kOutput, y);
+  const NetId x = b.xor2(a, bb);
+  const NetId n = b.nand2(a, bb);
+  nl.add_port("y", PortDir::kOutput, b.mux2(x, n, sel));
 
-  const std::string text = to_verilog_string(nl);
-  EXPECT_NE(text.find("module rt"), std::string::npos);
-  EXPECT_NE(text.find("endmodule"), std::string::npos);
+  const std::string text = verilog_text(nl);
+  EXPECT_NE(text.find("module rt (a, b, sel, y);\n"), std::string::npos);
+  EXPECT_NE(text.find("  input a;\n  input b;\n  input sel;\n  output y;\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("  assign y = n2;\n"), std::string::npos);
+  EXPECT_EQ(text.substr(text.size() - 10), "endmodule\n");
 
-  const Netlist back = parse_verilog(text);
-  EXPECT_EQ(back.live_instance_count(), nl.live_instance_count());
-
-  const tech::StdCellLib lib(tech::default_process());
-  Simulator s1(nl, lib), s2(back, lib);
-  // Resolve ports on the parsed copy.
-  auto in_net = [&](const Netlist& n, const char* port) {
-    for (const auto& p : n.ports())
-      if (p.name == port) return p.net;
-    throw Error("missing port");
-  };
-  for (int v = 0; v < 8; ++v) {
-    const bool va = v & 1, vb = (v >> 1) & 1, vs = (v >> 2) & 1;
-    s1.set_input(a, va);
-    s1.set_input(bb, vb);
-    s1.set_input(sel, vs);
-    s1.settle();
-    s2.set_input(in_net(back, "a"), va);
-    s2.set_input(in_net(back, "b"), vb);
-    s2.set_input(in_net(back, "sel"), vs);
-    s2.settle();
-    EXPECT_EQ(s1.value(y), s2.value(in_net(back, "y"))) << "input " << v;
-  }
+  // One named-connection instance line per live cell, in instance order.
+  std::istringstream lines(text);
+  std::vector<std::string> instances;
+  for (std::string line; std::getline(lines, line);)
+    if (line.find(" (.") != std::string::npos) instances.push_back(line);
+  EXPECT_EQ(instances,
+            (std::vector<std::string>{
+                "  XOR2_X1 g_XOR20 (.A(a), .B(b), .Y(n0));",
+                "  NAND2_X1 g_NAND21 (.A(a), .B(b), .Y(n1));",
+                "  MUX2_X1 g_MUX22 (.A(n0), .B(n1), .C(sel), .Y(n2));"}))
+      << text;
 }
 
 TEST(Verilog, SanitizesBusNames) {
@@ -345,14 +340,15 @@ TEST(Verilog, SanitizesBusNames) {
   nl.add_port("d1", PortDir::kInput, bus[1]);
   Builder b(nl, "g");
   nl.add_port("y", PortDir::kOutput, b.and2(bus[0], bus[1]));
-  const std::string text = to_verilog_string(nl);
+  const std::string text = verilog_text(nl);
   EXPECT_EQ(text.find('['), std::string::npos);  // no raw brackets
-  EXPECT_NO_THROW(parse_verilog(text));
-}
-
-TEST(Verilog, ParserRejectsGarbage) {
-  EXPECT_THROW(parse_verilog("modul x (); endmodule"), Error);
-  EXPECT_THROW(parse_verilog("module x (a; endmodule"), Error);
+  // Bus bits become legal identifiers, declared and connected by name.
+  EXPECT_NE(text.find("  wire d_0_;\n  assign d_0_ = d0;\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("  wire d_1_;\n  assign d_1_ = d1;\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("(.A(d_0_), .B(d_1_), "), std::string::npos);
 }
 
 TEST_F(GenSim, ForceNetModelsStuckAtFaults) {

@@ -7,7 +7,6 @@
 #include "netlist/generators.hpp"
 #include "netlist/sim.hpp"
 #include "place/place.hpp"
-#include "place/spef.hpp"
 #include "power/power.hpp"
 #include "sta/sta.hpp"
 #include "synth/synth.hpp"
@@ -141,15 +140,13 @@ TEST(Synth, SizingUpsLoadedGates) {
 TEST(Synth, StemAndPinHelpers) {
   EXPECT_EQ(synth::cell_stem("NAND2_X4"), "NAND2");
   EXPECT_EQ(synth::cell_stem("brick_sram8t_16x10"), "brick_sram8t_16x10");
-  EXPECT_EQ(synth::pin_base("RWL[17]"), "RWL");
-  EXPECT_EQ(synth::pin_base("A"), "A");
 }
 
 TEST(Sta, RegisteredAdderHasPlausibleFmax) {
   Ctx ctx;
   AdderDesign d = make_adder(ctx);
   synth::synthesize(d.nl, ctx.lib, ctx.cells);
-  const sta::StaResult res = sta::run_sta(d.nl, ctx.lib);
+  const sta::StaResult res = sta::run_sta(BoundDesign(d.nl, ctx.lib));
   // 8-bit ripple adder between registers at 65nm-class: hundreds of MHz to
   // a few GHz.
   EXPECT_GT(res.fmax(), 300e6);
@@ -164,8 +161,8 @@ TEST(Sta, WiderAdderIsSlower) {
   AdderDesign wide = make_adder(ctx, 16);
   synth::synthesize(small.nl, ctx.lib, ctx.cells);
   synth::synthesize(wide.nl, ctx.lib, ctx.cells);
-  EXPECT_GT(sta::run_sta(small.nl, ctx.lib).fmax(),
-            sta::run_sta(wide.nl, ctx.lib).fmax());
+  EXPECT_GT(sta::run_sta(BoundDesign(small.nl, ctx.lib)).fmax(),
+            sta::run_sta(BoundDesign(wide.nl, ctx.lib)).fmax());
 }
 
 TEST(Sta, ParasiticsSlowTheDesign) {
@@ -174,11 +171,12 @@ TEST(Sta, ParasiticsSlowTheDesign) {
   synth::synthesize(d.nl, ctx.lib, ctx.cells);
   sta::StaOptions zero_wire;
   zero_wire.prelayout_cap_per_sink = 0.0;  // idealized wireless baseline
-  const sta::StaResult ideal = sta::run_sta(d.nl, ctx.lib, zero_wire);
+  const sta::StaResult ideal =
+      sta::run_sta(BoundDesign(d.nl, ctx.lib), zero_wire);
   const place::Floorplan fp = place::place_design(d.nl, ctx.lib, ctx.process);
   sta::StaOptions opt;
   opt.floorplan = &fp;
-  const sta::StaResult wired = sta::run_sta(d.nl, ctx.lib, opt);
+  const sta::StaResult wired = sta::run_sta(BoundDesign(d.nl, ctx.lib), opt);
   EXPECT_LT(wired.fmax(), ideal.fmax());
 }
 
@@ -186,7 +184,7 @@ TEST(Sta, HoldAnalysisReportsEndpointAndSaneSlack) {
   Ctx ctx;
   AdderDesign d = make_adder(ctx);
   synth::synthesize(d.nl, ctx.lib, ctx.cells);
-  const sta::StaResult res = sta::run_sta(d.nl, ctx.lib);
+  const sta::StaResult res = sta::run_sta(BoundDesign(d.nl, ctx.lib));
   EXPECT_FALSE(res.hold_endpoint.empty());
   // Register->adder->register: earliest path is clk-to-q + at least one
   // gate, comfortably above the flop hold window.
@@ -206,7 +204,7 @@ TEST(Sta, DetectsCombinationalCycle) {
   const InstId first = BoundDesign(nl, ctx.lib).driver_inst(y);
   for (auto& c : nl.instance(first).conns)
     if (c.pin == "A") c.net = z;
-  EXPECT_THROW(sta::run_sta(nl, ctx.lib), Error);
+  EXPECT_THROW(sta::run_sta(BoundDesign(nl, ctx.lib)), Error);
 }
 
 TEST(Place, FloorplanGeometryIsSane) {
@@ -247,24 +245,6 @@ TEST(Place, ConnectedCellsEndUpCloser) {
   EXPECT_LT(sum / n, 0.5 * diag);
 }
 
-TEST(Spef, RoundTripParasitics) {
-  Ctx ctx;
-  AdderDesign d = make_adder(ctx);
-  synth::synthesize(d.nl, ctx.lib, ctx.cells);
-  const place::Floorplan fp = place::place_design(d.nl, ctx.lib, ctx.process);
-  const std::string text = place::to_spef_string(d.nl, fp);
-  EXPECT_NE(text.find("*SPEF"), std::string::npos);
-  const auto back = place::parse_spef(d.nl, text);
-  ASSERT_EQ(back.size(), fp.parasitics.size());
-  for (std::size_t n = 0; n < back.size(); ++n) {
-    EXPECT_NEAR(back[n].wire_cap, fp.parasitics[n].wire_cap,
-                1e-4 * (fp.parasitics[n].wire_cap + 1e-18));
-    EXPECT_NEAR(back[n].wire_res, fp.parasitics[n].wire_res,
-                1e-4 * (fp.parasitics[n].wire_res + 1e-6));
-  }
-  EXPECT_THROW(place::parse_spef(d.nl, "*D_NET bogus 1 2 3\n*END\n"), Error);
-}
-
 TEST(Power, ScalesWithFrequencyAndActivity) {
   Ctx ctx;
   AdderDesign d = make_adder(ctx);
@@ -278,11 +258,12 @@ TEST(Power, ScalesWithFrequencyAndActivity) {
     sim.settle();
     sim.clock_edge();
   }
+  const BoundDesign bd(d.nl, ctx.lib);
   power::PowerOptions opt;
   opt.frequency = 500e6;
-  const power::PowerReport p500 = power::analyze_power(d.nl, ctx.lib, sim, opt);
+  const power::PowerReport p500 = power::analyze_power(bd, sim, opt);
   opt.frequency = 1000e6;
-  const power::PowerReport p1000 = power::analyze_power(d.nl, ctx.lib, sim, opt);
+  const power::PowerReport p1000 = power::analyze_power(bd, sim, opt);
   EXPECT_GT(p500.total(), 0.0);
   // Dynamic power doubles; leakage does not.
   EXPECT_NEAR((p1000.total() - p1000.leakage) / (p500.total() - p500.leakage),
@@ -300,7 +281,8 @@ TEST(Power, IdleDesignBurnsOnlyClockAndLeakage) {
   sim.settle();
   for (int c = 0; c < 50; ++c) sim.clock_edge();  // constant inputs
   power::PowerOptions opt;
-  const power::PowerReport rep = power::analyze_power(d.nl, ctx.lib, sim, opt);
+  const power::PowerReport rep =
+      power::analyze_power(BoundDesign(d.nl, ctx.lib), sim, opt);
   EXPECT_LT(rep.combinational, 0.05 * rep.total());
   EXPECT_GT(rep.clock_tree, 0.0);
 }
@@ -309,7 +291,7 @@ TEST(Power, RequiresSimulation) {
   Ctx ctx;
   AdderDesign d = make_adder(ctx);
   netlist::Simulator sim(d.nl, ctx.cells);
-  EXPECT_THROW(power::analyze_power(d.nl, ctx.lib, sim), Error);
+  EXPECT_THROW(power::analyze_power(BoundDesign(d.nl, ctx.lib), sim), Error);
 }
 
 }  // namespace

@@ -43,7 +43,7 @@ TEST(StdCellLib, HasAllFunctionsAndDrives) {
   const StdCellLib lib(default_process());
   for (CellFunc f : {CellFunc::kInv, CellFunc::kNand2, CellFunc::kNor2,
                      CellFunc::kXor2, CellFunc::kDff, CellFunc::kMux2}) {
-    const StdCell& x1 = lib.smallest(f);
+    const StdCell& x1 = lib.pick(f, 0.0);
     EXPECT_EQ(x1.drive, 1.0);
     const StdCell& x8 = lib.pick(f, 8.0);
     EXPECT_GE(x8.drive, 8.0);
@@ -84,12 +84,12 @@ TEST(StdCellLib, InverterDelayMatchesLogicalEffort) {
 
 TEST(StdCellLib, SequentialCellsHaveClockTiming) {
   const StdCellLib lib(default_process());
-  const StdCell& dff = lib.smallest(CellFunc::kDff);
+  const StdCell& dff = lib.pick(CellFunc::kDff, 0.0);
   EXPECT_TRUE(dff.is_sequential());
   EXPECT_GT(dff.setup, 0.0);
   EXPECT_GT(dff.clk_to_q, 0.0);
   EXPECT_GT(dff.clock_cap, 0.0);
-  EXPECT_FALSE(lib.smallest(CellFunc::kNand2).is_sequential());
+  EXPECT_FALSE(lib.pick(CellFunc::kNand2, 0.0).is_sequential());
 }
 
 TEST(Bitcell, AllKindsShareRowPitch) {

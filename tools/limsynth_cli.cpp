@@ -458,8 +458,8 @@ int cmd_simulate(const args::Args& a) {
   popt.frequency = rep.fmax;
   popt.floorplan = &rep.floorplan;
   popt.sta = &rep.timing;
-  const power::PowerReport pw =
-      power::analyze_power(d.nl, d.lib, ev.activity(), popt);
+  const power::PowerReport pw = power::analyze_power(
+      netlist::BoundDesign(d.nl, d.lib), ev.activity(), popt);
   Table t({"category", "power"});
   t.add_row({"combinational", units::format_si(pw.combinational, "W")});
   t.add_row({"sequential", units::format_si(pw.sequential, "W")});

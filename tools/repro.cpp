@@ -60,7 +60,7 @@ struct Sheet {
 struct Job {
   double cost;
   std::function<void()> run;
-  double seconds = 0;  // its run time, measured on the pool
+  double start = 0, end = 0;  // on the pool, in seconds since repro began
 };
 
 struct Plan {
@@ -716,19 +716,19 @@ int run_repro(bool check) {
   using namespace limsynth;
   const auto t0 = std::chrono::steady_clock::now();
   const Inputs in;
-  // An artifact's wall_s sums its setup, its jobs and its finish step:
-  // what it takes on one worker, comparable to a serial run.
+  // An artifact's span_s is its setup, plus the time from its first job's
+  // start to its last job's end on the shared pool, plus its finish step.
   struct Artifact {
     const ArtifactSpec& spec;
     Plan plan;
-    double wall_s;
+    double span_s;
   };
   std::vector<Artifact> artifacts;
   std::vector<Job*> jobs;
   for (const ArtifactSpec& spec : kArtifacts) {
     const double start = seconds_since(t0);
     Artifact& a = artifacts.emplace_back(spec, spec.generate(in, spec.seed));
-    a.wall_s = seconds_since(t0) - start;
+    a.span_s = seconds_since(t0) - start;
     for (Job& job : a.plan.jobs) jobs.push_back(&job);
   }
   std::stable_sort(jobs.begin(), jobs.end(), [](const Job* x, const Job* y) {
@@ -737,9 +737,9 @@ int run_repro(bool check) {
   const int workers =
       static_cast<int>(std::max(1U, std::thread::hardware_concurrency()));
   parallel_for(jobs.size(), workers, [&](std::size_t k) {
-    const double start = seconds_since(t0);
+    jobs[k]->start = seconds_since(t0);
     jobs[k]->run();
-    jobs[k]->seconds = seconds_since(t0) - start;
+    jobs[k]->end = seconds_since(t0);
     return true;
   });
 
@@ -751,9 +751,9 @@ int run_repro(bool check) {
   std::vector<std::string> failures;
   std::string json = strformat(
       "{\n  \"command\": \"limsynth repro\",\n  \"note\": \"an artifact's"
-      " wall_s sums its setup, jobs and finish step: its time on one"
-      " worker\",\n  \"workers\": %d,\n  \"hardware_threads\": %u,\n"
-      "  \"artifacts\": [",
+      " span_s is its setup, plus its first job's start to its last job's"
+      " end on the shared pool, plus its finish step\",\n"
+      "  \"workers\": %d,\n  \"hardware_threads\": %u,\n  \"artifacts\": [",
       workers, std::thread::hardware_concurrency());
   std::string md;
   if (check && !disk.read_file("EXPERIMENTS.md", &md).ok())
@@ -762,8 +762,15 @@ int run_repro(bool check) {
     const double start = seconds_since(t0);
     Sheet s;
     a.plan.finish(s);
-    a.wall_s += seconds_since(t0) - start;
-    for (const Job& job : a.plan.jobs) a.wall_s += job.seconds;
+    a.span_s += seconds_since(t0) - start;
+    if (!a.plan.jobs.empty()) {
+      double first = a.plan.jobs.front().start, last = 0;
+      for (const Job& job : a.plan.jobs) {
+        first = std::min(first, job.start);
+        last = std::max(last, job.end);
+      }
+      a.span_s += last - first;
+    }
     std::cout << s.txt.str() << '\n';
     failures.insert(failures.end(), s.failures.begin(), s.failures.end());
 
@@ -788,10 +795,10 @@ int run_repro(bool check) {
                            cells + "\" like " + file);
     }
     json += strformat(
-        "%s\n    {\"name\": \"%s\", \"jobs\": %zu, \"wall_s\": %.4f,"
+        "%s\n    {\"name\": \"%s\", \"jobs\": %zu, \"span_s\": %.4f,"
         " \"crc64\": \"%016llx\"}",
         &a == &artifacts.front() ? "" : ",", a.spec.name, a.plan.jobs.size(),
-        a.wall_s, static_cast<unsigned long long>(fs::crc64(csv)));
+        a.span_s, static_cast<unsigned long long>(fs::crc64(csv)));
   }
   const double wall = seconds_since(t0);
   json += strformat("\n  ],\n  \"wall_s\": %.4f\n}\n", wall);
