@@ -10,8 +10,7 @@
 #include <iostream>
 #include <sstream>
 
-#include "brick/estimator.hpp"
-#include "brick/library_gen.hpp"
+#include "brick/cache.hpp"
 #include "liberty/writer.hpp"
 #include "lim/flow.hpp"
 #include "util/units.hpp"
@@ -23,13 +22,14 @@ int main() {
   const tech::Process process = tech::default_process();
   const brick::BrickSpec spec{tech::BitcellKind::kSram8T, /*words=*/16,
                               /*bits=*/10, /*stack=*/2};
-  const brick::Brick b = brick::compile_brick(spec, process);
+  const auto compiled = brick::BrickCache::global().get(spec, process);
+  const brick::Brick& b = compiled->brick;
   std::printf("Compiled %s: %.0f um2, wordline driver X%.0f, sense X%.0f\n",
               spec.name().c_str(), b.layout.area * 1e12, b.wl_inv_drive,
               b.sense_drive);
 
   // --------------------------------- 2. instant performance estimation
-  const brick::BrickEstimate est = brick::estimate_brick(b);
+  const brick::BrickEstimate& est = compiled->estimate;
   std::printf("Estimator: read %s / %s, write %s / %s, min cycle %s\n",
               units::format_si(est.read_delay, "s").c_str(),
               units::format_si(est.read_energy, "J").c_str(),
@@ -39,7 +39,7 @@ int main() {
 
   // The macro model that drops into any synthesis flow (.lib substitute).
   liberty::Library brick_lib("quickstart_bricks");
-  brick_lib.add(brick::make_brick_libcell(b));
+  brick_lib.add(compiled->libcell);
   std::ostringstream lib_text;
   liberty::write_liberty(brick_lib, lib_text);
   std::printf("Generated liberty model: %zu bytes of .lib text\n",

@@ -1,7 +1,7 @@
 #include "arch/chip.hpp"
 
 #include "brick/estimator.hpp"
-#include "brick/library_gen.hpp"
+#include "brick/cache.hpp"
 #include "liberty/characterize.hpp"
 #include "netlist/generators.hpp"
 #include "util/error.hpp"
@@ -62,8 +62,9 @@ lim::FlowReport lim_reference_flow(const tech::Process& process,
   liberty::Library lib = liberty::characterize_stdcell_library(cells);
   const brick::BrickSpec cam_spec{tech::BitcellKind::kCamNor10T, 16, 10, 1};
   const brick::BrickSpec sram_spec{tech::BitcellKind::kSram8T, 16, 10, 1};
-  lib.add(brick::make_brick_libcell(brick::compile_brick(cam_spec, process)));
-  lib.add(brick::make_brick_libcell(brick::compile_brick(sram_spec, process)));
+  brick::BrickCache& bricks = brick::BrickCache::global();
+  lib.add(bricks.get(cam_spec, process)->libcell);
+  lib.add(bricks.get(sram_spec, process)->libcell);
 
   const NetId clk = nl.add_net("clk");
   nl.set_clock(clk);
@@ -151,7 +152,7 @@ lim::FlowReport baseline_reference_flow(const tech::Process& process,
   netlist::Netlist nl("heap_core_slice");
   liberty::Library lib = liberty::characterize_stdcell_library(cells);
   const brick::BrickSpec fifo_spec{tech::BitcellKind::kSram8T, 16, 10, 1};
-  lib.add(brick::make_brick_libcell(brick::compile_brick(fifo_spec, process)));
+  lib.add(brick::BrickCache::global().get(fifo_spec, process)->libcell);
 
   const NetId clk = nl.add_net("clk");
   nl.set_clock(clk);

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "brick/library_gen.hpp"
+#include "brick/serialize.hpp"
 #include "brick/store.hpp"
 #include "util/jsonl.hpp"
 
@@ -61,7 +62,11 @@ std::shared_ptr<const CompiledBrick> BrickCache::get(
   auto compiled = std::make_shared<CompiledBrick>();
   compiled->brick = compile_brick(spec, process);
   compiled->estimate = estimate_brick(compiled->brick);
-  compiled->libcell = make_brick_libcell(compiled->brick);
+  // The flow takes the brick's cell only as read back from its Liberty
+  // text, the form the store keeps, so a cold compile, a memory hit and a
+  // disk hit hand out the same decoded object.
+  compiled->libcell = libcell_from_liberty(
+      libcell_to_liberty(make_brick_libcell(compiled->brick)));
   if (store) store->save(key, *compiled);  // best-effort, never throws
   const std::lock_guard<std::mutex> lock(mu_);
   return map_.emplace(key, std::move(compiled)).first->second;

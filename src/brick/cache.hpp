@@ -32,7 +32,8 @@ class BrickStore;
 
 /// Everything downstream stages ever derive from one brick shape: the
 /// compiled brick, its analytic estimate (at kReferenceLoad), and the
-/// generated macro LibCell. Immutable once cached.
+/// generated macro LibCell as read back from its Liberty text. Immutable
+/// once cached.
 struct CompiledBrick {
   Brick brick;
   BrickEstimate estimate;

@@ -1,7 +1,9 @@
 #include "brick/serialize.hpp"
 
 #include <cstring>
-#include <vector>
+
+#include "liberty/writer.hpp"
+#include "util/error.hpp"
 
 namespace limsynth::brick {
 
@@ -38,11 +40,6 @@ void put_f64(std::string* out, double v) {
 void put_str(std::string* out, const std::string& s) {
   put_u32(out, static_cast<std::uint32_t>(s.size()));
   out->append(s);
-}
-
-void put_f64_vec(std::string* out, const std::vector<double>& v) {
-  put_u32(out, static_cast<std::uint32_t>(v.size()));
-  for (const double d : v) put_f64(out, d);
 }
 
 // --- bounds-checked reader ----------------------------------------------
@@ -87,19 +84,9 @@ class Reader {
     pos_ += n;
     return true;
   }
-  bool f64_vec(std::vector<double>* v) {
-    std::uint32_t n = 0;
-    if (!u32(&n)) return false;
-    // A corrupt length must not drive a giant allocation: every element
-    // still present in the buffer costs 8 bytes.
-    if (static_cast<std::size_t>(n) * 8 > data_.size() - pos_) return false;
-    v->assign(n, 0.0);
-    for (std::uint32_t i = 0; i < n; ++i)
-      if (!f64(&(*v)[i])) return false;
-    return true;
-  }
-  /// Element count for a variable-length section, with the same
-  /// anti-allocation bound (`min_bytes` = cheapest possible element).
+  /// Element count for a variable-length section. A corrupt count must
+  /// not drive a giant allocation: every element still present in the
+  /// buffer costs at least `min_bytes`.
   bool count(std::uint32_t* n, std::size_t min_bytes) {
     if (!u32(n)) return false;
     return static_cast<std::size_t>(*n) * min_bytes <= data_.size() - pos_;
@@ -222,101 +209,6 @@ bool get_layout(Reader* in, layout::BrickLayout* l) {
          in->f64(&l->array_area) && in->f64(&l->blockage_fraction);
 }
 
-void put_lut(std::string* out, const liberty::Lut2D& lut) {
-  put_f64_vec(out, lut.slew_axis());
-  put_f64_vec(out, lut.load_axis());
-  put_f64_vec(out, lut.values());
-}
-
-bool get_lut(Reader* in, liberty::Lut2D* lut) {
-  std::vector<double> slew, load, values;
-  if (!in->f64_vec(&slew) || !in->f64_vec(&load) || !in->f64_vec(&values))
-    return false;
-  if (values.empty() && slew.empty() && load.empty()) {
-    *lut = liberty::Lut2D();
-    return true;
-  }
-  if (values.size() != slew.size() * load.size() || slew.empty() ||
-      load.empty())
-    return false;
-  *lut = liberty::Lut2D(std::move(slew), std::move(load), std::move(values));
-  return true;
-}
-
-void put_pins(std::string* out, const std::vector<liberty::PinModel>& pins) {
-  put_u32(out, static_cast<std::uint32_t>(pins.size()));
-  for (const liberty::PinModel& p : pins) {
-    put_str(out, p.name);
-    put_f64(out, p.cap);
-    put_u8(out, p.is_clock ? 1 : 0);
-  }
-}
-
-bool get_pins(Reader* in, std::vector<liberty::PinModel>* pins) {
-  std::uint32_t n = 0;
-  if (!in->count(&n, 4 + 8 + 1)) return false;
-  pins->assign(n, liberty::PinModel{});
-  for (liberty::PinModel& p : *pins) {
-    std::uint8_t clk = 0;
-    if (!in->str(&p.name) || !in->f64(&p.cap) || !in->u8(&clk)) return false;
-    p.is_clock = clk != 0;
-  }
-  return true;
-}
-
-void put_libcell(std::string* out, const liberty::LibCell& c) {
-  put_str(out, c.name);
-  put_f64(out, c.area);
-  put_f64(out, c.width);
-  put_f64(out, c.height);
-  put_f64(out, c.leakage);
-  put_u8(out, c.is_macro ? 1 : 0);
-  put_u8(out, c.sequential ? 1 : 0);
-  put_str(out, c.clock_pin);
-  put_pins(out, c.inputs);
-  put_pins(out, c.outputs);
-  put_u32(out, static_cast<std::uint32_t>(c.arcs.size()));
-  for (const liberty::TimingArc& a : c.arcs) {
-    put_str(out, a.from);
-    put_str(out, a.to);
-    put_lut(out, a.delay);
-    put_lut(out, a.out_slew);
-    put_lut(out, a.energy);
-  }
-  put_u32(out, static_cast<std::uint32_t>(c.constraints.size()));
-  for (const liberty::Constraint& k : c.constraints) {
-    put_str(out, k.pin);
-    put_f64(out, k.setup);
-    put_f64(out, k.hold);
-  }
-  put_f64(out, c.clock_energy);
-}
-
-bool get_libcell(Reader* in, liberty::LibCell* c) {
-  std::uint8_t is_macro = 0, sequential = 0;
-  if (!in->str(&c->name) || !in->f64(&c->area) || !in->f64(&c->width) ||
-      !in->f64(&c->height) || !in->f64(&c->leakage) || !in->u8(&is_macro) ||
-      !in->u8(&sequential) || !in->str(&c->clock_pin))
-    return false;
-  c->is_macro = is_macro != 0;
-  c->sequential = sequential != 0;
-  if (!get_pins(in, &c->inputs) || !get_pins(in, &c->outputs)) return false;
-  std::uint32_t n = 0;
-  if (!in->count(&n, 2 * 4 + 3 * 12)) return false;
-  c->arcs.assign(n, liberty::TimingArc{});
-  for (liberty::TimingArc& a : c->arcs) {
-    if (!in->str(&a.from) || !in->str(&a.to) || !get_lut(in, &a.delay) ||
-        !get_lut(in, &a.out_slew) || !get_lut(in, &a.energy))
-      return false;
-  }
-  if (!in->count(&n, 4 + 16)) return false;
-  c->constraints.assign(n, liberty::Constraint{});
-  for (liberty::Constraint& k : c->constraints)
-    if (!in->str(&k.pin) || !in->f64(&k.setup) || !in->f64(&k.hold))
-      return false;
-  return in->f64(&c->clock_energy);
-}
-
 void put_brick(std::string* out, const Brick& b) {
   put_u8(out, static_cast<std::uint8_t>(b.spec.bitcell));
   put_i32(out, b.spec.words);
@@ -393,17 +285,38 @@ bool get_estimate(Reader* in, BrickEstimate* e) {
 
 }  // namespace
 
+std::string libcell_to_liberty(const liberty::LibCell& cell) {
+  liberty::Library lib(cell.name);
+  lib.add(cell);
+  return liberty::to_liberty_string(lib);
+}
+
+liberty::LibCell libcell_from_liberty(const std::string& text) {
+  const liberty::Library lib = liberty::parse_liberty(text);
+  if (lib.cells().size() != 1)
+    LIMS_FAIL(ErrorCode::kInvalidConfig,
+              "brick library " << lib.name() << " holds "
+                               << lib.cells().size() << " cells, not 1");
+  return lib.cells().front();
+}
+
 void encode_compiled_brick(const CompiledBrick& cb, std::string* out) {
   put_brick(out, cb.brick);
   put_estimate(out, cb.estimate);
-  put_libcell(out, cb.libcell);
+  put_str(out, libcell_to_liberty(cb.libcell));
 }
 
 bool decode_compiled_brick(const std::string& payload, CompiledBrick* out) {
   Reader in(payload);
-  if (!get_brick(&in, &out->brick)) return false;
-  if (!get_estimate(&in, &out->estimate)) return false;
-  if (!get_libcell(&in, &out->libcell)) return false;
+  std::string liberty_text;
+  if (!get_brick(&in, &out->brick) || !get_estimate(&in, &out->estimate) ||
+      !in.str(&liberty_text))
+    return false;
+  try {
+    out->libcell = libcell_from_liberty(liberty_text);
+  } catch (const Error&) {
+    return false;
+  }
   return in.done();  // trailing garbage = corrupt
 }
 

@@ -1,5 +1,7 @@
 #include "liberty/writer.hpp"
 
+#include <cctype>
+#include <charconv>
 #include <cmath>
 #include <ostream>
 #include <sstream>
@@ -10,69 +12,117 @@ namespace limsynth::liberty {
 
 namespace {
 
-// Unit scales used in the text format.
-constexpr double kTime = 1e-9;    // ns
-constexpr double kCap = 1e-12;    // pF
-constexpr double kEnergy = 1e-12; // pJ
-constexpr double kArea = 1e-12;   // um^2
-constexpr double kLeak = 1e-9;    // nW
+/// Writes `v` as the shortest decimal that reads back to the same double.
+void put(std::ostream& os, double v) {
+  if (!std::isfinite(v))
+    LIMS_FAIL(ErrorCode::kInvalidConfig,
+              "liberty write: non-finite value " << v);
+  char buf[32];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof buf, v);
+  os.write(buf, r.ptr - buf);
+}
 
-void write_values(std::ostream& os, const char* key,
-                  const std::vector<double>& v, double scale,
-                  const char* indent) {
-  os << indent << key << " (\"";
+const char* flag(bool b) { return b ? "true" : "false"; }
+
+void write_list(std::ostream& os, const char* key,
+                const std::vector<double>& v) {
+  os << "          " << key << " (\"";
   for (std::size_t i = 0; i < v.size(); ++i) {
     if (i) os << ", ";
-    os << v[i] / scale;
+    put(os, v[i]);
   }
   os << "\");\n";
 }
 
-void write_lut(std::ostream& os, const char* group, const Lut2D& lut,
-               double value_scale) {
-  os << "        " << group << " (lut_5x6) {\n";
-  write_values(os, "index_1", lut.slew_axis(), kTime, "          ");
-  write_values(os, "index_2", lut.load_axis(), kCap, "          ");
-  write_values(os, "values", lut.values(), value_scale, "          ");
+void write_lut(std::ostream& os, const char* group, const Lut2D& lut) {
+  os << "        " << group << " (lut_" << lut.slew_axis().size() << 'x'
+     << lut.load_axis().size() << ") {\n";
+  write_list(os, "index_1", lut.slew_axis());
+  write_list(os, "index_2", lut.load_axis());
+  write_list(os, "values", lut.values());
   os << "        }\n";
+}
+
+void write_attr(std::ostream& os, const char* indent, const char* key,
+                double v) {
+  os << indent << key << " : ";
+  put(os, v);
+  os << ";\n";
+}
+
+/// Position of the pin named `name` in `pins`, or pins.size().
+std::size_t pin_index(const std::vector<PinModel>& pins,
+                      const std::string& name) {
+  std::size_t i = 0;
+  while (i < pins.size() && pins[i].name != name) ++i;
+  return i;
+}
+
+/// The text nests arcs under their output pin and constraints under their
+/// input pin, and names the clock pin only on sequential cells. Rejects a
+/// cell that this nesting would not reproduce field for field.
+void check_writable(const LibCell& cell) {
+  const auto reject = [&](const std::string& why) {
+    LIMS_FAIL(ErrorCode::kInvalidConfig,
+              "liberty write: cell " << cell.name << " " << why);
+  };
+  if (cell.sequential == cell.clock_pin.empty())
+    reject("must name a clock pin exactly when it is sequential");
+  std::size_t last = 0;
+  for (const TimingArc& arc : cell.arcs) {
+    const std::size_t at = pin_index(cell.outputs, arc.to);
+    if (at == cell.outputs.size() || at < last)
+      reject("lists its arcs out of output-pin order");
+    last = at;
+  }
+  std::size_t next = 0;
+  for (const Constraint& con : cell.constraints) {
+    const std::size_t at = pin_index(cell.inputs, con.pin);
+    if (at == cell.inputs.size() || at < next)
+      reject("lists its constraints out of input-pin order");
+    next = at + 1;
+  }
 }
 
 }  // namespace
 
 void write_liberty(const Library& lib, std::ostream& os) {
-  os << "/* limsynth generated library. units: time ns, cap pF, energy pJ,"
-        " area um2, leakage nW */\n";
+  os << "/* limsynth generated library. SI units: time s, capacitance F,"
+        " energy J, power W, length m, area m2 */\n";
   os << "library (" << lib.name() << ") {\n";
   for (const auto& cell : lib.cells()) {
+    check_writable(cell);
     os << "  cell (" << cell.name << ") {\n";
-    os << "    area : " << cell.area / kArea << ";\n";
-    os << "    cell_leakage_power : " << cell.leakage / kLeak << ";\n";
-    if (cell.is_macro) os << "    is_macro : true;\n";
+    write_attr(os, "    ", "area", cell.area);
+    write_attr(os, "    ", "width", cell.width);
+    write_attr(os, "    ", "height", cell.height);
+    write_attr(os, "    ", "cell_leakage_power", cell.leakage);
+    os << "    is_macro : " << flag(cell.is_macro) << ";\n";
     if (cell.sequential) os << "    clock_pin : " << cell.clock_pin << ";\n";
-    if (cell.clock_energy > 0.0)
-      os << "    clock_energy : " << cell.clock_energy / kEnergy << ";\n";
+    write_attr(os, "    ", "clock_energy", cell.clock_energy);
     for (const auto& pin : cell.inputs) {
       os << "    pin (" << pin.name << ") {\n";
       os << "      direction : input;\n";
-      os << "      capacitance : " << pin.cap / kCap << ";\n";
-      if (pin.is_clock) os << "      clock : true;\n";
-      const Constraint* con = cell.find_constraint(pin.name);
-      if (con) {
-        os << "      setup : " << con->setup / kTime << ";\n";
-        os << "      hold : " << con->hold / kTime << ";\n";
+      write_attr(os, "      ", "capacitance", pin.cap);
+      os << "      clock : " << flag(pin.is_clock) << ";\n";
+      if (const Constraint* con = cell.find_constraint(pin.name)) {
+        write_attr(os, "      ", "setup", con->setup);
+        write_attr(os, "      ", "hold", con->hold);
       }
       os << "    }\n";
     }
     for (const auto& pin : cell.outputs) {
       os << "    pin (" << pin.name << ") {\n";
       os << "      direction : output;\n";
+      write_attr(os, "      ", "capacitance", pin.cap);
+      os << "      clock : " << flag(pin.is_clock) << ";\n";
       for (const auto& arc : cell.arcs) {
         if (arc.to != pin.name) continue;
         os << "      timing () {\n";
         os << "        related_pin : \"" << arc.from << "\";\n";
-        write_lut(os, "cell_delay", arc.delay, kTime);
-        write_lut(os, "output_slew", arc.out_slew, kTime);
-        write_lut(os, "energy", arc.energy, kEnergy);
+        write_lut(os, "cell_delay", arc.delay);
+        write_lut(os, "output_slew", arc.out_slew);
+        write_lut(os, "energy", arc.energy);
         os << "      }\n";
       }
       os << "    }\n";
@@ -92,192 +142,208 @@ std::string to_liberty_string(const Library& lib) {
 
 namespace {
 
+/// Recursive descent over the writer's subset. Every rejection is an
+/// Error(kInvalidConfig) naming the line it was found on.
 class Parser {
  public:
   explicit Parser(const std::string& text) : text_(text) {}
 
   Library parse() {
-    skip_ws();
     expect_word("library");
-    std::string name = parse_parens_token();
-    expect_char('{');
-    Library lib(name);
-    skip_ws();
-    while (peek() != '}') {
+    Library lib(group_name());
+    expect('{');
+    while (!at('}')) {
       expect_word("cell");
-      lib.add(parse_cell());
-      skip_ws();
+      std::string name = group_name();
+      if (lib.find(name) != nullptr) fail("duplicate cell '" + name + "'");
+      lib.add(parse_cell(std::move(name)));
     }
+    expect('}');
+    skip_ws();
+    if (pos_ != text_.size()) fail("trailing text after the library group");
     return lib;
   }
 
  private:
-  LibCell parse_cell() {
+  LibCell parse_cell(std::string name) {
     LibCell cell;
-    cell.name = parse_parens_token();
-    expect_char('{');
-    skip_ws();
-    while (peek() != '}') {
-      const std::string word = parse_word();
-      if (word == "pin") {
+    cell.name = std::move(name);
+    expect('{');
+    while (!at('}')) {
+      const std::string key = token();
+      if (key == "pin") {
         parse_pin(cell);
-      } else {
-        // attribute : value ;
-        expect_char(':');
-        const std::string value = parse_until(';');
-        expect_char(';');
-        if (word == "area") cell.area = to_double(value) * kArea;
-        else if (word == "cell_leakage_power") cell.leakage = to_double(value) * kLeak;
-        else if (word == "is_macro") cell.is_macro = (trim(value) == "true");
-        else if (word == "clock_pin") { cell.sequential = true; cell.clock_pin = trim(value); }
-        else if (word == "clock_energy") cell.clock_energy = to_double(value) * kEnergy;
-        else fail("unknown cell attribute '" + word + "'");
+        continue;
       }
-      skip_ws();
+      expect(':');
+      const std::string value = token();
+      if (key == "area") cell.area = number(value);
+      else if (key == "width") cell.width = number(value);
+      else if (key == "height") cell.height = number(value);
+      else if (key == "cell_leakage_power") cell.leakage = number(value);
+      else if (key == "is_macro") cell.is_macro = flag(value);
+      else if (key == "clock_pin") { cell.sequential = true; cell.clock_pin = value; }
+      else if (key == "clock_energy") cell.clock_energy = number(value);
+      else fail("unknown cell attribute '" + key + "'");
+      expect(';');
     }
-    expect_char('}');
+    if (cell.sequential && cell.find_input(cell.clock_pin) == nullptr)
+      fail("clock pin '" + cell.clock_pin + "' is not an input of cell " +
+           cell.name);
+    for (const TimingArc& arc : cell.arcs)
+      if (cell.find_input(arc.from) == nullptr)
+        fail("timing arc from '" + arc.from + "' is not an input of cell " +
+             cell.name);
+    expect('}');
     return cell;
   }
 
   void parse_pin(LibCell& cell) {
     PinModel pin;
-    pin.name = parse_parens_token();
-    expect_char('{');
-    skip_ws();
-    bool is_input = false;
-    double setup = -1.0, hold = -1.0;
+    pin.name = group_name();
+    if (cell.find_input(pin.name) != nullptr ||
+        cell.find_output(pin.name) != nullptr)
+      fail("duplicate pin '" + pin.name + "' in cell " + cell.name);
+    expect('{');
+    std::string direction;
+    bool has_setup = false, has_hold = false;
+    Constraint con{pin.name};
     std::vector<TimingArc> arcs;
-    while (peek() != '}') {
-      const std::string word = parse_word();
-      if (word == "timing") {
-        expect_char('(');
-        expect_char(')');
+    while (!at('}')) {
+      const std::string key = token();
+      if (key == "timing") {
+        expect('(');
+        expect(')');
         arcs.push_back(parse_timing(pin.name));
-      } else {
-        expect_char(':');
-        const std::string value = parse_until(';');
-        expect_char(';');
-        if (word == "direction") is_input = (trim(value) == "input");
-        else if (word == "capacitance") pin.cap = to_double(value) * kCap;
-        else if (word == "clock") pin.is_clock = (trim(value) == "true");
-        else if (word == "setup") setup = to_double(value) * kTime;
-        else if (word == "hold") hold = to_double(value) * kTime;
-        else fail("unknown pin attribute '" + word + "'");
+        continue;
       }
-      skip_ws();
+      expect(':');
+      const std::string value = token();
+      if (key == "direction") {
+        if (value != "input" && value != "output")
+          fail("direction must be input or output, not '" + value + "'");
+        direction = value;
+      } else if (key == "capacitance") {
+        pin.cap = number(value);
+      } else if (key == "clock") {
+        pin.is_clock = flag(value);
+      } else if (key == "setup") {
+        con.setup = number(value);
+        has_setup = true;
+      } else if (key == "hold") {
+        con.hold = number(value);
+        has_hold = true;
+      } else {
+        fail("unknown pin attribute '" + key + "'");
+      }
+      expect(';');
     }
-    expect_char('}');
-    if (is_input) {
+    if (direction.empty()) fail("pin '" + pin.name + "' has no direction");
+    if (has_setup != has_hold)
+      fail("pin '" + pin.name + "' needs both setup and hold, or neither");
+    if (direction == "input") {
+      if (!arcs.empty()) fail("input pin '" + pin.name + "' has timing");
       cell.inputs.push_back(pin);
-      if (setup >= 0.0) cell.constraints.push_back({pin.name, setup, hold});
+      if (has_setup) cell.constraints.push_back(con);
     } else {
+      if (has_setup) fail("output pin '" + pin.name + "' has setup/hold");
       cell.outputs.push_back(pin);
       for (auto& a : arcs) cell.arcs.push_back(std::move(a));
     }
+    expect('}');
   }
 
   TimingArc parse_timing(const std::string& out_pin) {
     TimingArc arc;
     arc.to = out_pin;
-    expect_char('{');
-    skip_ws();
-    while (peek() != '}') {
-      const std::string word = parse_word();
-      if (word == "related_pin") {
-        expect_char(':');
-        const std::string value = parse_until(';');
-        expect_char(';');
-        arc.from = unquote(trim(value));
-      } else if (word == "cell_delay" || word == "output_slew" ||
-                 word == "energy") {
-        parse_parens_token();  // template name, ignored
-        const Lut2D lut = parse_lut(word == "energy" ? kEnergy : kTime);
-        if (word == "cell_delay") arc.delay = lut;
-        else if (word == "output_slew") arc.out_slew = lut;
-        else arc.energy = lut;
-      } else {
-        fail("unknown timing attribute '" + word + "'");
+    expect('{');
+    while (!at('}')) {
+      const std::string key = token();
+      if (key == "related_pin") {
+        expect(':');
+        expect('"');
+        arc.from = token();
+        expect('"');
+        expect(';');
+        continue;
       }
-      skip_ws();
+      Lut2D* lut = key == "cell_delay"    ? &arc.delay
+                   : key == "output_slew" ? &arc.out_slew
+                   : key == "energy"      ? &arc.energy
+                                          : nullptr;
+      if (lut == nullptr) fail("unknown timing attribute '" + key + "'");
+      if (!lut->empty()) fail("duplicate " + key + " table");
+      *lut = parse_lut();
     }
-    expect_char('}');
+    if (arc.from.empty()) fail("timing group without related_pin");
+    if (arc.delay.empty() || arc.out_slew.empty() || arc.energy.empty())
+      fail("timing group needs cell_delay, output_slew and energy tables");
+    expect('}');
     return arc;
   }
 
-  Lut2D parse_lut(double value_scale) {
-    expect_char('{');
-    std::vector<double> i1, i2, values;
-    skip_ws();
-    while (peek() != '}') {
-      const std::string word = parse_word();
-      expect_char('(');
-      skip_ws();
-      expect_char('"');
-      const std::string body = parse_until('"');
-      expect_char('"');
-      expect_char(')');
-      expect_char(';');
-      std::vector<double> nums = split_numbers(body);
-      if (word == "index_1") {
-        for (double& v : nums) v *= kTime;
-        i1 = std::move(nums);
-      } else if (word == "index_2") {
-        for (double& v : nums) v *= kCap;
-        i2 = std::move(nums);
-      } else if (word == "values") {
-        for (double& v : nums) v *= value_scale;
-        values = std::move(nums);
-      } else {
-        fail("unknown lut key '" + word + "'");
-      }
-      skip_ws();
+  Lut2D parse_lut() {
+    group_name();  // table template name, not used
+    expect('{');
+    std::vector<double> lists[3];  // index_1 (slew), index_2 (load), values
+    while (!at('}')) {
+      const std::string key = token();
+      const int k = key == "index_1" ? 0
+                    : key == "index_2" ? 1
+                    : key == "values"  ? 2
+                                       : -1;
+      if (k < 0) fail("unknown table attribute '" + key + "'");
+      if (!lists[k].empty()) fail("duplicate " + key);
+      expect('(');
+      expect('"');
+      do lists[k].push_back(number(token()));
+      while (accept(','));
+      expect('"');
+      expect(')');
+      expect(';');
     }
-    expect_char('}');
-    return Lut2D(std::move(i1), std::move(i2), std::move(values));
+    for (int k = 0; k < 2; ++k) {
+      const std::vector<double>& axis = lists[k];
+      if (axis.size() < 2) fail("table axis needs at least two points");
+      for (std::size_t i = 1; i < axis.size(); ++i)
+        if (!(axis[i - 1] < axis[i])) fail("table axis is not increasing");
+    }
+    if (lists[2].size() != lists[0].size() * lists[1].size())
+      fail("table has " + std::to_string(lists[2].size()) + " values for a " +
+           std::to_string(lists[0].size()) + "x" +
+           std::to_string(lists[1].size()) + " grid");
+    expect('}');
+    return Lut2D(std::move(lists[0]), std::move(lists[1]),
+                 std::move(lists[2]));
   }
 
-  // --- lexing helpers ---
-  static std::string trim(const std::string& s) {
-    std::size_t a = s.find_first_not_of(" \t\n\r");
-    std::size_t b = s.find_last_not_of(" \t\n\r");
-    if (a == std::string::npos) return "";
-    return s.substr(a, b - a + 1);
+  // --- lexing ---
+  static bool token_char(char ch) {
+    return std::isalnum(static_cast<unsigned char>(ch)) || ch == '_' ||
+           ch == '.' || ch == '+' || ch == '-';
   }
-  static std::string unquote(const std::string& s) {
-    if (s.size() >= 2 && s.front() == '"' && s.back() == '"')
-      return s.substr(1, s.size() - 2);
-    return s;
+  double number(const std::string& tok) {
+    double v = 0.0;
+    const char* end = tok.data() + tok.size();
+    const std::from_chars_result r = std::from_chars(tok.data(), end, v);
+    if (r.ec != std::errc() || r.ptr != end || !std::isfinite(v))
+      fail("bad number '" + tok + "'");
+    return v;
   }
-  static double to_double(const std::string& s) {
-    try {
-      return std::stod(trim(s));
-    } catch (const std::exception&) {
-      throw Error("liberty parse: bad number '" + s + "'");
-    }
+  bool flag(const std::string& tok) {
+    if (tok != "true" && tok != "false")
+      fail("flag must be true or false, not '" + tok + "'");
+    return tok == "true";
   }
-  static std::vector<double> split_numbers(const std::string& s) {
-    std::vector<double> out;
-    std::string cur;
-    for (char ch : s + ",") {
-      if (ch == ',') {
-        if (!trim(cur).empty()) out.push_back(to_double(cur));
-        cur.clear();
-      } else {
-        cur += ch;
-      }
-    }
-    return out;
-  }
-
   void skip_ws() {
     while (pos_ < text_.size()) {
       const char ch = text_[pos_];
       if (ch == ' ' || ch == '\t' || ch == '\n' || ch == '\r') {
         if (ch == '\n') ++line_;
         ++pos_;
-      } else if (ch == '/' && pos_ + 1 < text_.size() && text_[pos_ + 1] == '*') {
+      } else if (text_.compare(pos_, 2, "/*") == 0) {
         const std::size_t end = text_.find("*/", pos_ + 2);
-        LIMS_CHECK_MSG(end != std::string::npos, "unterminated comment");
+        if (end == std::string::npos) fail("unterminated comment");
         for (std::size_t i = pos_; i < end; ++i)
           if (text_[i] == '\n') ++line_;
         pos_ = end + 2;
@@ -286,51 +352,49 @@ class Parser {
       }
     }
   }
-  char peek() {
-    LIMS_CHECK_MSG(pos_ < text_.size(), "liberty parse: unexpected EOF");
-    return text_[pos_];
-  }
-  void expect_char(char ch) {
+  /// Skips blanks and reports whether the next character is `ch`; the end
+  /// of the text is an error wherever a next character is required.
+  bool at(char ch) {
     skip_ws();
-    if (peek() != ch)
-      fail(std::string("expected '") + ch + "', found '" + peek() + "'");
+    if (pos_ == text_.size()) fail("unexpected end of input");
+    return text_[pos_] == ch;
+  }
+  bool accept(char ch) {
+    skip_ws();
+    if (pos_ == text_.size() || text_[pos_] != ch) return false;
+    ++pos_;
+    return true;
+  }
+  void expect(char ch) {
+    if (!at(ch))
+      fail(std::string("expected '") + ch + "', found '" + text_[pos_] + "'");
     ++pos_;
   }
-  std::string parse_word() {
+  /// A name, keyword or number: a maximal run of [A-Za-z0-9_.+-].
+  std::string token() {
     skip_ws();
-    std::string out;
-    while (pos_ < text_.size()) {
-      const char ch = text_[pos_];
-      if (std::isalnum(static_cast<unsigned char>(ch)) || ch == '_') {
-        out += ch;
-        ++pos_;
-      } else {
-        break;
-      }
+    const std::size_t start = pos_;
+    while (pos_ < text_.size() && token_char(text_[pos_])) ++pos_;
+    if (pos_ == start) {
+      if (pos_ == text_.size()) fail("unexpected end of input");
+      fail(std::string("expected a name or number, found '") + text_[pos_] +
+           "'");
     }
-    if (out.empty()) fail("expected identifier");
-    return out;
+    return text_.substr(start, pos_ - start);
   }
   void expect_word(const std::string& word) {
-    const std::string got = parse_word();
+    const std::string got = token();
     if (got != word) fail("expected '" + word + "', found '" + got + "'");
   }
-  std::string parse_parens_token() {
-    expect_char('(');
-    const std::string tok = parse_until(')');
-    expect_char(')');
-    return trim(tok);
-  }
-  std::string parse_until(char stop) {
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != stop) {
-      if (text_[pos_] == '\n') ++line_;
-      out += text_[pos_++];
-    }
-    return out;
+  std::string group_name() {
+    expect('(');
+    std::string name = token();
+    expect(')');
+    return name;
   }
   [[noreturn]] void fail(const std::string& msg) {
-    throw Error("liberty parse error (line " + std::to_string(line_) + "): " + msg);
+    LIMS_FAIL(ErrorCode::kInvalidConfig,
+              "liberty parse error (line " << line_ << "): " << msg);
   }
 
   const std::string& text_;

@@ -1,6 +1,6 @@
 #include "lim/cam_block.hpp"
 
-#include "brick/library_gen.hpp"
+#include "brick/cache.hpp"
 #include "liberty/characterize.hpp"
 #include "lim/sram_builder.hpp"
 #include "netlist/generators.hpp"
@@ -33,8 +33,9 @@ CamBlockDesign build_cam_block(const CamBlockConfig& cfg,
                                  std::min(cfg.brick_words, cfg.entries),
                                  cfg.value_bits,
                                  std::max(1, cfg.entries / cfg.brick_words)};
-  d.lib.add(brick::make_brick_libcell(brick::compile_brick(cam_spec, process)));
-  d.lib.add(brick::make_brick_libcell(brick::compile_brick(sp_spec, process)));
+  brick::BrickCache& bricks = brick::BrickCache::global();
+  d.lib.add(bricks.get(cam_spec, process)->libcell);
+  d.lib.add(bricks.get(sp_spec, process)->libcell);
 
   netlist::Netlist& nl = d.nl;
   d.clk = nl.add_net("clk");

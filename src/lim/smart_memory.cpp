@@ -1,6 +1,6 @@
 #include "lim/smart_memory.hpp"
 
-#include "brick/library_gen.hpp"
+#include "brick/cache.hpp"
 #include "liberty/characterize.hpp"
 #include "netlist/generators.hpp"
 #include "util/error.hpp"
@@ -93,7 +93,7 @@ ParallelAccessDesign build_parallel_access_memory(
   d.lib = liberty::characterize_stdcell_library(cells);
   const brick::BrickSpec bspec{tech::BitcellKind::kSram8T, cfg.brick_words,
                                cfg.pixel_bits, bank_rows / cfg.brick_words};
-  d.lib.add(brick::make_brick_libcell(brick::compile_brick(bspec, process)));
+  d.lib.add(brick::BrickCache::global().get(bspec, process)->libcell);
 
   netlist::Netlist& nl = d.nl;
   d.clk = nl.add_net("clk");
@@ -274,7 +274,7 @@ InterpDesign build_interpolation_memory(const InterpConfig& cfg,
   d.lib = liberty::characterize_stdcell_library(cells);
   const brick::BrickSpec bspec{tech::BitcellKind::kSram8T, brick_words,
                                cfg.value_bits, half_rows / brick_words};
-  d.lib.add(brick::make_brick_libcell(brick::compile_brick(bspec, process)));
+  d.lib.add(brick::BrickCache::global().get(bspec, process)->libcell);
 
   netlist::Netlist& nl = d.nl;
   d.clk = nl.add_net("clk");

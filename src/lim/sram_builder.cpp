@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "brick/cache.hpp"
-#include "brick/library_gen.hpp"
 #include "liberty/characterize.hpp"
 #include "netlist/generators.hpp"
 #include "util/error.hpp"

@@ -61,6 +61,9 @@ void write_verilog(const Netlist& nl, std::ostream& os) {
   }
   for (const auto& p : nl.ports()) {
     const auto n = static_cast<std::size_t>(p.net);
+    // A port whose net has its name is that net already: redeclaring it
+    // as a wire or assigning it to itself is not legal Verilog.
+    if (net_name[n] == sanitize(p.name)) continue;
     if (p.dir == PortDir::kInput) {
       os << "  wire " << net_name[n] << ";\n";
       os << "  assign " << net_name[n] << " = " << sanitize(p.name) << ";\n";

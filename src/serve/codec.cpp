@@ -139,7 +139,6 @@ bool parse_request(const std::string& payload, Request* out,
     }
   }
   if (!opt_string(payload, "kind", &out->kind, error)) return false;
-  if (!opt_string(payload, "liberty", &out->liberty, error)) return false;
   if (!opt_int(payload, "words", &out->words, error)) return false;
   if (!opt_int(payload, "bits", &out->bits, error)) return false;
   if (!opt_int(payload, "stack", &out->stack, error)) return false;

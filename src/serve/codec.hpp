@@ -62,11 +62,6 @@ struct Request {
   std::uint64_t seed = 1;
   int cycles = 50;      ///< analyze: activity-simulation cycles
 
-  /// Optional external Liberty library the request wants characterized
-  /// against. Validated up front (exists, readable, looks like a .lib):
-  /// a bad path is a typed kIo/kInvalidConfig reply, never a crash.
-  std::string liberty;
-
   /// Per-request deadline override in ms; 0 = server default. The server
   /// clamps it to its own configured maximum.
   double deadline_ms = 0.0;

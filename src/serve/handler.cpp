@@ -7,7 +7,6 @@
 #include "lim/dse.hpp"
 #include "lim/flow.hpp"
 #include "lim/sram_builder.hpp"
-#include "util/fs.hpp"
 #include "util/watchdog.hpp"
 
 namespace limsynth::serve {
@@ -22,27 +21,6 @@ tech::BitcellKind parse_kind_or_fail(const std::string& s) {
   LIMS_FAIL(ErrorCode::kInvalidConfig,
             "unknown bitcell kind \"" << s
                                       << "\" (sram6t sram8t cam10t edram)");
-}
-
-/// Validates an optional external Liberty reference up front: the file
-/// must exist, be readable, and look like a .lib. A bad path is a typed
-/// error reply — the per-request analog of the CLI's kIo exit.
-void check_liberty_ref(const std::string& path) {
-  if (path.empty()) return;
-  DIAG_CONTEXT("validate liberty reference " + path);
-  std::string content;
-  const fs::IoStatus st = fs::Fs::real().read_file(path, &content);
-  if (st.err == fs::IoErr::kNotFound)
-    LIMS_FAIL(ErrorCode::kIo, "liberty file not found: " << path);
-  if (!st.ok())
-    LIMS_FAIL(ErrorCode::kIo,
-              "cannot read liberty file " << path << ": " << st.message);
-  const std::size_t first = content.find_first_not_of(" \t\r\n");
-  if (first == std::string::npos ||
-      content.compare(first, 7, "library") != 0)
-    LIMS_FAIL(ErrorCode::kInvalidConfig,
-              "not a Liberty library (no leading \"library\" group): "
-                  << path);
 }
 
 void check_cancelled(const HandlerContext& ctx) {
@@ -195,7 +173,6 @@ ItemOutcome run_item(const Request& req, const HandlerContext& ctx,
                      const Watchdog& wd) {
   ItemOutcome out;
   try {
-    check_liberty_ref(req.liberty);
     switch (req.op) {
       case Op::kPing: {
         JsonWriter w;

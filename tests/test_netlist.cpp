@@ -331,6 +331,27 @@ TEST(Verilog, WritesHeaderPortsAndOneInstanceLinePerCell) {
                 "  NAND2_X1 g_NAND21 (.A(a), .B(b), .Y(n1));",
                 "  MUX2_X1 g_MUX22 (.A(n0), .B(n1), .C(sel), .Y(n2));"}))
       << text;
+
+  // A port whose net has its name is neither redeclared as a wire nor
+  // assigned to itself, for inputs and for outputs alike.
+  for (const std::string port : {"a", "b", "sel"}) {
+    EXPECT_EQ(text.find("  wire " + port + ";\n"), std::string::npos) << text;
+    EXPECT_EQ(text.find("assign " + port + " = " + port + ";"),
+              std::string::npos)
+        << text;
+  }
+  Netlist pass("pass");
+  const NetId d = pass.add_net("d");
+  pass.add_port("d", PortDir::kInput, d);
+  const NetId q = Builder(pass, "g").inv(d);
+  pass.add_port(pass.nets()[static_cast<std::size_t>(q)].name,
+                PortDir::kOutput, q);
+  const std::string pass_text = verilog_text(pass);
+  EXPECT_EQ(pass_text.find("wire d;"), std::string::npos) << pass_text;
+  EXPECT_EQ(pass_text.find("assign d = d;"), std::string::npos) << pass_text;
+  EXPECT_EQ(pass_text.find("assign n0 = n0;"), std::string::npos)
+      << pass_text;
+  EXPECT_NE(pass_text.find("  output n0;\n"), std::string::npos) << pass_text;
 }
 
 TEST(Verilog, SanitizesBusNames) {

@@ -376,20 +376,6 @@ TEST(Handler, UnknownKindIsInvalidConfig) {
   EXPECT_EQ(h.code, ErrorCode::kInvalidConfig);
 }
 
-TEST(Handler, NonexistentLibertyIsIoError) {
-  const Handled h = handle_request(
-      parse_ok(
-          "{\"op\":\"analyze\",\"words\":64,\"bits\":10,\"brick_words\":16,"
-          "\"liberty\":\"/definitely/not/here.lib\"}"),
-      make_ctx());
-  EXPECT_FALSE(h.ok);
-  EXPECT_EQ(h.code, ErrorCode::kIo);
-  ReplyFields f;
-  ASSERT_TRUE(parse_reply(h.payload, &f));
-  EXPECT_EQ(f.error_code, "io");
-  EXPECT_NE(f.error.find("liberty"), std::string::npos);
-}
-
 TEST(Handler, SleepDeadlineIsResourceExhausted) {
   const auto t0 = std::chrono::steady_clock::now();
   const Handled h = handle_request(
@@ -520,15 +506,14 @@ TEST(Server, MalformedPayloadGetsTypedReplyAndConnectionSurvives) {
   EXPECT_EQ(s.protocol_errors, 1u);
 }
 
-TEST(Server, NonexistentLibertyFileIsTypedIoReply) {
+TEST(Server, TypedErrorReplyThenPingIsServed) {
   TestServer server;
   Client client = server.connect();
   CallResult r = client.call(
-      "{\"op\":\"analyze\",\"id\":\"lib\",\"words\":64,\"bits\":10,"
-      "\"brick_words\":16,\"liberty\":\"/no/such/file.lib\"}");
+      "{\"op\":\"sleep\",\"sleep_ms\":30000,\"deadline_ms\":80}");
   ASSERT_TRUE(r.transport_ok);
   EXPECT_FALSE(r.fields.ok);
-  EXPECT_EQ(r.fields.error_code, "io");
+  EXPECT_EQ(r.fields.error_code, "resource_exhausted");
 
   // Still alive afterwards.
   r = client.call("{\"op\":\"ping\"}");

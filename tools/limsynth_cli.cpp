@@ -17,7 +17,6 @@
 #include "brick/cache.hpp"
 #include "brick/golden.hpp"
 #include "brick/store.hpp"
-#include "brick/library_gen.hpp"
 #include "evsim/crosscheck.hpp"
 #include "liberty/writer.hpp"
 #include "lim/brick_opt.hpp"
@@ -145,8 +144,9 @@ int cmd_brick(const args::Args& a) {
   spec.bits = a.get_int("bits");
   spec.stack = a.get_int("stack", 1);
 
-  const brick::Brick b = brick::compile_brick(spec, process);
-  const brick::BrickEstimate e = brick::estimate_brick(b);
+  const auto compiled = brick::BrickCache::global().get(spec, process);
+  const brick::Brick& b = compiled->brick;
+  const brick::BrickEstimate& e = compiled->estimate;
   std::printf("%s  (%.1f x %.1f um, %.0f um2, efficiency %.0f%%)\n",
               spec.name().c_str(), b.layout.outline.width() * 1e6,
               b.layout.outline.height() * 1e6, b.layout.area * 1e12,
@@ -179,7 +179,7 @@ int cmd_brick(const args::Args& a) {
   }
   if (a.has("--lib")) {
     liberty::Library lib("cli_bricks");
-    lib.add(brick::make_brick_libcell(b));
+    lib.add(compiled->libcell);
     liberty::write_liberty(lib, std::cout);
   }
   return 0;
