@@ -131,7 +131,7 @@ int main(int argc, char** argv) {
     seu::CampaignOptions opt;
     opt.samples = kSamples;
     opt.seed = seed;
-    opt.workers = 4;
+    opt.run.jobs = 4;
     opt.batch = batch;
     const auto t0 = std::chrono::steady_clock::now();
     const seu::CampaignResult res =
@@ -180,7 +180,7 @@ int main(int argc, char** argv) {
   seu::CampaignOptions eq_opt;
   eq_opt.samples = 300;
   eq_opt.seed = seed;
-  eq_opt.workers = 2;
+  eq_opt.run.jobs = 2;
   eq_opt.batch = true;
   const seu::CampaignResult eq_batched =
       seu::run_campaign(eq_rig.rig, eq_rig.process, eq_opt);
@@ -191,7 +191,7 @@ int main(int argc, char** argv) {
       seu::format_campaign_report(eq_batched, eq_cfg) ==
       seu::format_campaign_report(eq_scalar, eq_cfg);
   std::printf("\nequivalence: batched (%d/%d batched) vs scalar reports %s\n",
-              eq_batched.batched, eq_batched.computed,
+              eq_batched.batched, eq_batched.provenance.computed,
               reports_identical ? "identical" : "DIFFER");
 
   // --- kernel micro-benchmark -----------------------------------------
@@ -246,7 +246,7 @@ int main(int argc, char** argv) {
     seu::CampaignOptions opt;
     opt.samples = 400;
     opt.seed = seed;
-    opt.workers = workers;
+    opt.run.jobs = workers;
     opt.batch = batch;
     const auto t0 = std::chrono::steady_clock::now();
     const seu::CampaignResult res =

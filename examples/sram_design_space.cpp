@@ -9,7 +9,7 @@
 #include <cstdio>
 #include <iostream>
 
-#include "lim/dse.hpp"
+#include "lim/checkpoint.hpp"
 #include "util/args.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
@@ -37,7 +37,8 @@ int main(int argc, char** argv) {
   }
 
   const auto t0 = std::chrono::steady_clock::now();
-  const auto points = lim::sweep_partitions(choices, process);
+  const auto points =
+      lim::sweep_partitions_checkpointed(choices, process).points;
   const auto front = lim::pareto_front(points);
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

@@ -24,34 +24,24 @@ constexpr double kBufferReadsPerCycle = 2.0;
 constexpr double kAvgFifoOps = 12.0;
 constexpr double kClockOverhead = 0.15;  // clock tree + misc fraction
 
-struct BrickEnergies {
-  brick::BrickEstimate cam;
-  brick::BrickEstimate scratch;
-  brick::BrickEstimate fifo;
-  brick::BrickEstimate buffer;
-  brick::Brick cam_brick;
-  brick::Brick scratch_brick;
+/// The three brick shapes both chips are assembled from, taken from the
+/// shared BrickCache (their estimates are at kReferenceLoad).
+struct ChipBricks {
+  std::shared_ptr<const brick::CompiledBrick> cam;
+  /// LiM scratchpad and baseline FIFO bank: the same SRAM shape.
+  std::shared_ptr<const brick::CompiledBrick> sram;
+  std::shared_ptr<const brick::CompiledBrick> buffer;
 };
 
-BrickEnergies brick_energies(const tech::Process& process) {
-  BrickEnergies e;
+ChipBricks chip_bricks(const tech::Process& process) {
+  brick::BrickCache& bricks = brick::BrickCache::global();
   // Row-index / data array sizes chosen by the paper's design-space sweep:
-  // 16x10 bits, consistent with [12].
-  e.cam_brick =
-      brick::compile_brick({tech::BitcellKind::kCamNor10T, 16, 10, 1}, process);
-  e.scratch_brick =
-      brick::compile_brick({tech::BitcellKind::kSram8T, 16, 10, 1}, process);
-  const brick::Brick fifo =
-      brick::compile_brick({tech::BitcellKind::kSram8T, 16, 10, 1}, process);
-  // On-chip A/B buffers: 1024 words x 32 bits (index+value packed), built
-  // from 64x32 bricks stacked 16x. Identical in both chips.
-  const brick::Brick buffer =
-      brick::compile_brick({tech::BitcellKind::kSram8T, 64, 32, 16}, process);
-  e.cam = brick::estimate_brick(e.cam_brick);
-  e.scratch = brick::estimate_brick(e.scratch_brick);
-  e.fifo = brick::estimate_brick(fifo);
-  e.buffer = brick::estimate_brick(buffer);
-  return e;
+  // 16x10 bits, consistent with [12]. On-chip A/B buffers: 1024 words x
+  // 32 bits (index+value packed), built from 64x32 bricks stacked 16x,
+  // identical in both chips.
+  return {bricks.get({tech::BitcellKind::kCamNor10T, 16, 10, 1}, process),
+          bricks.get({tech::BitcellKind::kSram8T, 16, 10, 1}, process),
+          bricks.get({tech::BitcellKind::kSram8T, 64, 32, 16}, process)};
 }
 
 /// LiM reference slice: CAM -> detect -> scratchpad; scratchpad DO ->
@@ -234,16 +224,16 @@ lim::FlowReport baseline_reference_flow(const tech::Process& process,
 
 ChipModel build_lim_chip(const tech::Process& process,
                          const tech::StdCellLib& cells) {
-  const BrickEnergies be = brick_energies(process);
+  const ChipBricks bricks = chip_bricks(process);
   ChipModel chip;
   chip.name = "LiM CAM-SpGEMM";
   chip.timing = lim_reference_flow(process, cells);
   chip.fmax = chip.timing.fmax;
 
-  chip.e_cam_match = be.cam.match_energy;
-  chip.e_sram_read = be.scratch.read_energy;
-  chip.e_sram_write = be.scratch.write_energy;
-  chip.e_buffer_read = be.buffer.read_energy;
+  chip.e_cam_match = bricks.cam->estimate.match_energy;
+  chip.e_sram_read = bricks.sram->estimate.read_energy;
+  chip.e_sram_write = bricks.sram->estimate.write_energy;
+  chip.e_buffer_read = bricks.buffer->estimate.read_energy;
   // MAC + detect logic energy: approximate with the flow's cell area times
   // a switching-energy density (the slice was run without stimulus).
   chip.e_logic = 0.5e-12;  // J/cycle per active MAC lane
@@ -257,23 +247,24 @@ ChipModel build_lim_chip(const tech::Process& process,
 
   // Areas: 32 horizontal CAM+scratch columns + vertical CAM + MAC lanes.
   const double column_area =
-      be.cam_brick.layout.area + be.scratch_brick.layout.area;
+      bricks.cam->brick.layout.area + bricks.sram->brick.layout.area;
   chip.core_area = 33.0 * column_area + 32.0 * 1850e-12;
-  chip.chip_area = chip.core_area + 2.0 * be.buffer.bank_area + 0.6e-6;
+  chip.chip_area =
+      chip.core_area + 2.0 * bricks.buffer->estimate.bank_area + 0.6e-6;
   return chip;
 }
 
 ChipModel build_baseline_chip(const tech::Process& process,
                               const tech::StdCellLib& cells) {
-  const BrickEnergies be = brick_energies(process);
+  const ChipBricks bricks = chip_bricks(process);
   ChipModel chip;
   chip.name = "non-LiM heap SpGEMM";
   chip.timing = baseline_reference_flow(process, cells);
   chip.fmax = chip.timing.fmax;
 
-  chip.e_sram_read = be.fifo.read_energy;
-  chip.e_sram_write = be.fifo.write_energy;
-  chip.e_buffer_read = be.buffer.read_energy;
+  chip.e_sram_read = bricks.sram->estimate.read_energy;
+  chip.e_sram_write = bricks.sram->estimate.write_energy;
+  chip.e_buffer_read = bricks.buffer->estimate.read_energy;
   chip.e_logic = 0.25e-12;  // comparator + control per cycle
 
   const double per_cycle =
@@ -283,8 +274,9 @@ ChipModel build_baseline_chip(const tech::Process& process,
 
   // FIFO banks + merge logic occupy comparable area to the CAM columns
   // (paper: 0.33 mm^2 core vs 0.39 mm^2).
-  chip.core_area = 64.0 * be.scratch_brick.layout.area + 26.0 * 2000e-12;
-  chip.chip_area = chip.core_area + 2.0 * be.buffer.bank_area + 0.6e-6;
+  chip.core_area = 64.0 * bricks.sram->brick.layout.area + 26.0 * 2000e-12;
+  chip.chip_area =
+      chip.core_area + 2.0 * bricks.buffer->estimate.bank_area + 0.6e-6;
   return chip;
 }
 

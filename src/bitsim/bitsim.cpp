@@ -1,7 +1,5 @@
 #include "bitsim/bitsim.hpp"
 
-#include <unordered_map>
-
 #include "netlist/sim.hpp"
 #include "util/error.hpp"
 
@@ -34,11 +32,6 @@ BatchProgram::BatchProgram(const netlist::BoundDesign& bound,
   const netlist::Netlist& nl = bound.netlist();
   net_count_ = nl.nets().size();
 
-  std::unordered_map<std::string, tech::CellFunc> func_by_stem;
-  func_by_stem.reserve(cells.cells().size());
-  for (const auto& c : cells.cells())
-    func_by_stem[netlist::cell_stem(c.name)] = c.func;
-
   // The levelization supplies the dense gate order; resolving each gate's
   // pins here (once) is what lets settle() run four loads, one store, and
   // zero branches per gate per 64 lanes.
@@ -47,13 +40,13 @@ BatchProgram::BatchProgram(const netlist::BoundDesign& bound,
   level_begin_ = lv.level_begin;
   for (const netlist::InstId id : lv.order) {
     const netlist::Instance& inst = nl.instance(id);
-    const auto fit = func_by_stem.find(netlist::cell_stem(inst.cell));
-    if (fit == func_by_stem.end())
+    const tech::StdCell* cell = cells.find(inst.cell);
+    if (cell == nullptr)
       LIMS_FAIL(ErrorCode::kInvalidConfig,
                 "bitsim: unknown cell " << inst.cell << " on instance "
                                         << inst.name);
     Gate g;
-    g.func = fit->second;
+    g.func = cell->func;
     g.nin = tech::cell_func_inputs(g.func);
     for (int k = 0; k < g.nin; ++k) {
       const netlist::NetId* in = inst.find_pin(kInputPins[k]);
@@ -84,13 +77,13 @@ BatchProgram::BatchProgram(const netlist::BoundDesign& bound,
       continue;
     }
     const netlist::Instance& inst = nl.instance(id);
-    const auto fit = func_by_stem.find(netlist::cell_stem(inst.cell));
-    if (fit == func_by_stem.end())
+    const tech::StdCell* cell = cells.find(inst.cell);
+    if (cell == nullptr)
       LIMS_FAIL(ErrorCode::kInvalidConfig,
                 "bitsim: unknown sequential cell " << inst.cell
                                                    << " on instance "
                                                    << inst.name);
-    const tech::CellFunc func = fit->second;
+    const tech::CellFunc func = cell->func;
     if (func != tech::CellFunc::kDff && func != tech::CellFunc::kDffEn)
       LIMS_FAIL(ErrorCode::kInvalidConfig,
                 "bitsim: unsupported sequential cell "

@@ -39,16 +39,10 @@ TimingAnnotation annotate_delays(const BoundDesign& bd,
   // (the library holds every drive variant, so this is a per-cell, not
   // per-instance, resolution).
   std::vector<int> func_of(bd.cell_count(), -1);  // -1 = no CellFunc (macro)
-  {
-    std::unordered_map<std::string, tech::CellFunc> func_by_stem;
-    func_by_stem.reserve(cells.cells().size());
-    for (const auto& c : cells.cells())
-      func_by_stem[netlist::cell_stem(c.name)] = c.func;
-    for (std::size_t ci = 0; ci < bd.cell_count(); ++ci) {
-      const auto it = func_by_stem.find(
-          netlist::cell_stem(bd.lib_cell(static_cast<LibCellId>(ci)).name));
-      if (it != func_by_stem.end()) func_of[ci] = static_cast<int>(it->second);
-    }
+  for (std::size_t ci = 0; ci < bd.cell_count(); ++ci) {
+    const tech::StdCell* cell =
+        cells.find(bd.lib_cell(static_cast<LibCellId>(ci)).name);
+    if (cell != nullptr) func_of[ci] = static_cast<int>(cell->func);
   }
 
   // Interned pin ids for the conventional pin names (kNoPin when the

@@ -1,6 +1,7 @@
 #include "liberty/lut.hpp"
 
 #include <algorithm>
+#include <functional>
 
 #include "util/error.hpp"
 
@@ -13,8 +14,12 @@ Lut2D::Lut2D(std::vector<double> slew_axis, std::vector<double> load_axis,
       values_(std::move(values)) {
   LIMS_CHECK(slew_axis_.size() >= 2 && load_axis_.size() >= 2);
   LIMS_CHECK(values_.size() == slew_axis_.size() * load_axis_.size());
-  LIMS_CHECK(std::is_sorted(slew_axis_.begin(), slew_axis_.end()));
-  LIMS_CHECK(std::is_sorted(load_axis_.begin(), load_axis_.end()));
+  // Strictly increasing: a repeated point would make lookup() divide by a
+  // zero-width cell.
+  LIMS_CHECK(std::adjacent_find(slew_axis_.begin(), slew_axis_.end(),
+                                std::greater_equal<>()) == slew_axis_.end());
+  LIMS_CHECK(std::adjacent_find(load_axis_.begin(), load_axis_.end(),
+                                std::greater_equal<>()) == load_axis_.end());
 }
 
 std::size_t Lut2D::cell(const std::vector<double>& axis, double x) {

@@ -1,16 +1,8 @@
 #include "lim/checkpoint.hpp"
 
-#include <atomic>
 #include <cstdlib>
-#include <fstream>
-#include <mutex>
 #include <ostream>
 #include <sstream>
-#include <vector>
-
-#include "util/jsonl.hpp"
-#include "util/parallel.hpp"
-#include "util/watchdog.hpp"
 
 namespace limsynth::lim {
 
@@ -24,9 +16,25 @@ using jsonl::read_bool;
 using jsonl::read_double;
 using jsonl::read_string;
 
+/// One completed point as a JSONL line. Metrics use %.17g so a reloaded
+/// point is bit-identical to the computed one.
+std::string journal_line(const std::string& key, const DsePoint& point) {
+  std::ostringstream os;
+  os << "{\"key\":\"" << key << "\",\"label\":\""
+     << json_escape(point.choice.label()) << "\",\"ok\":"
+     << (point.ok ? "true" : "false") << ",\"code\":\""
+     << error_code_name(point.ok ? ErrorCode::kInternal : point.error_code)
+     << "\",\"error\":\"" << json_escape(point.error)
+     << "\",\"read_delay\":" << format_g17(point.read_delay)
+     << ",\"read_energy\":" << format_g17(point.read_energy)
+     << ",\"area\":" << format_g17(point.area)
+     << ",\"yield\":" << format_g17(point.post_repair_yield) << "}\n";
+  return os.str();
+}
+
 /// Parses one journal line into (key, point). Returns false on any
-/// malformed or truncated field — the caller skips the line.
-bool parse_journal_line(const std::string& line, std::uint64_t* key,
+/// malformed or truncated field — the executor skips the line.
+bool parse_journal_line(const std::string& line, std::string* key,
                         DsePoint* point) {
   if (line.empty() || line.front() != '{' || line.back() != '}') return false;
 
@@ -35,8 +43,9 @@ bool parse_journal_line(const std::string& line, std::uint64_t* key,
   if (pos == std::string::npos || !read_string(line, pos, &key_hex))
     return false;
   char* end = nullptr;
-  *key = std::strtoull(key_hex.c_str(), &end, 16);
+  const std::uint64_t value = std::strtoull(key_hex.c_str(), &end, 16);
   if (end == key_hex.c_str() || *end != '\0') return false;
+  *key = jsonl::to_hex(value);
 
   pos = find_field(line, "ok");
   if (pos == std::string::npos || !read_bool(line, pos, &point->ok))
@@ -85,138 +94,34 @@ std::uint64_t dse_point_key(const PartitionChoice& choice,
   return fnv1a(os.str());
 }
 
-void append_journal_entry(std::ostream& os, std::uint64_t key,
-                          const DsePoint& point) {
-  os << "{\"key\":\"" << jsonl::to_hex(key) << "\",\"label\":\""
-     << json_escape(point.choice.label()) << "\",\"ok\":"
-     << (point.ok ? "true" : "false") << ",\"code\":\""
-     << error_code_name(point.ok ? ErrorCode::kInternal : point.error_code)
-     << "\",\"error\":\"" << json_escape(point.error)
-     << "\",\"read_delay\":" << format_g17(point.read_delay)
-     << ",\"read_energy\":" << format_g17(point.read_energy)
-     << ",\"area\":" << format_g17(point.area)
-     << ",\"yield\":" << format_g17(point.post_repair_yield) << "}\n";
-  os.flush();
-}
-
-JournalLoad load_journal(const std::string& path) {
-  JournalLoad load;
-  jsonl::JournalText text;
-  if (!jsonl::read_journal_text(path, &text))
-    return load;  // missing journal = nothing to resume
-  // A torn tail (kill mid-append) is an expected artifact, not damage:
-  // that point is simply unwritten and will be re-evaluated. Complete
-  // lines that fail to parse are real corruption and are counted.
-  load.torn_tail = text.torn_tail;
-  for (const std::string& line : text.lines) {
-    std::uint64_t key = 0;
-    DsePoint point;
-    if (parse_journal_line(line, &key, &point))
-      load.points[key] = std::move(point);
-    else
-      ++load.malformed_lines;
-  }
-  return load;
-}
-
 CheckpointedSweep sweep_partitions_checkpointed(
     const std::vector<PartitionChoice>& choices, const tech::Process& process,
     const SweepOptions& options, const CheckpointOptions& ckpt) {
   DIAG_CONTEXT("checkpointed DSE sweep");
+  std::vector<std::string> keys;
+  keys.reserve(choices.size());
+  for (const PartitionChoice& c : choices)
+    keys.push_back(jsonl::to_hex(dse_point_key(c, options)));
+
+  const auto singletons = [](const std::vector<std::size_t>& todo) {
+    std::vector<std::vector<std::size_t>> units;
+    for (const std::size_t i : todo) units.push_back({i});
+    return units;
+  };
+  const auto evaluate = [&](const std::vector<std::size_t>& unit) {
+    return std::vector<DsePoint>{
+        evaluate_partition_caught(choices[unit.front()], process, options)};
+  };
+  jsonl::Journaled<DsePoint> run = jsonl::run_journaled<DsePoint>(
+      "DSE", ckpt, keys, parse_journal_line, journal_line, singletons,
+      evaluate);
+
   CheckpointedSweep result;
-  result.points.reserve(choices.size());
-
-  JournalLoad journal;
-  if (ckpt.resume && !ckpt.journal_path.empty()) {
-    journal = load_journal(ckpt.journal_path);
-    result.malformed = journal.malformed_lines;
-    result.torn_tail = journal.torn_tail;
-  }
-
-  std::ofstream out;
-  if (!ckpt.journal_path.empty()) {
-    out.open(ckpt.journal_path, std::ios::app);
-    if (!out)
-      LIMS_FAIL(ErrorCode::kIo,
-                "cannot open DSE journal for append: " << ckpt.journal_path);
-  }
-
-  // One slot per choice in sweep order. Pool workers claim indices and
-  // deposit results into their slot; journal lines are appended strictly
-  // in slot order behind `flush_cursor`, so a parallel run's journal is
-  // byte-identical to a serial run's.
-  struct Slot {
-    std::uint64_t key = 0;
-    DsePoint point;
-    bool done = false;
-    bool from_journal = false;  // already journaled by a previous run
-  };
-  std::vector<Slot> slots(choices.size());
-  std::size_t matched = 0;
-  for (std::size_t i = 0; i < choices.size(); ++i) {
-    slots[i].key = dse_point_key(choices[i], options);
-    const auto hit = journal.points.find(slots[i].key);
-    if (hit == journal.points.end()) continue;
-    slots[i].point = hit->second;
-    slots[i].point.choice = choices[i];  // journal stores metrics, not shape
-    slots[i].done = true;
-    slots[i].from_journal = true;
-    ++matched;
-  }
-  result.stale = static_cast<int>(journal.points.size() - matched);
-
-  const Watchdog watchdog("DSE sweep", ckpt.timeout_seconds);
-  std::atomic<bool> timed_out{false};
-  std::atomic<bool> interrupted{false};
-  std::mutex mu;
-  std::size_t flush_cursor = 0;  // guarded by mu
-
-  // Appends every done slot at the cursor, in order. Caller holds `mu`.
-  const auto flush_ready = [&] {
-    while (flush_cursor < slots.size() && slots[flush_cursor].done) {
-      Slot& s = slots[flush_cursor];
-      if (!s.from_journal && out.is_open())
-        append_journal_entry(out, s.key, s.point);
-      ++flush_cursor;
-    }
-  };
-  {
-    const std::lock_guard<std::mutex> lock(mu);
-    flush_ready();  // a resumed prefix needs no evaluation to flush past
-  }
-
-  parallel_for(slots.size(), ckpt.jobs, [&](std::size_t i) {
-    if (slots[i].done) return true;  // satisfied from the journal
-    if (ckpt.cancel && ckpt.cancel->load(std::memory_order_relaxed)) {
-      // Signal-driven stop, same contract as a timeout: every finished
-      // point is already flushed in order, so --resume loses nothing.
-      interrupted.store(true);
-      return false;
-    }
-    if (watchdog.expired()) {
-      // Stop cleanly between points: everything flushed so far is in
-      // the journal, so a --resume run completes the sweep.
-      timed_out.store(true);
-      return false;
-    }
-    DsePoint p = evaluate_partition_caught(choices[i], process, options);
-    const std::lock_guard<std::mutex> lock(mu);
-    slots[i].point = std::move(p);
-    slots[i].done = true;
-    flush_ready();
-    return true;
-  });
-  result.timed_out = timed_out.load();
-  result.interrupted = interrupted.load();
-
-  // The result is the contiguous done prefix (the same truncation a serial
-  // timeout produces); completed islands beyond a gap stay unjournaled and
-  // are recomputed by a resume.
-  for (const Slot& s : slots) {
-    if (!s.done) break;
-    result.points.push_back(s.point);
-    ++(s.from_journal ? result.resumed : result.computed);
-  }
+  result.points = std::move(run.records);
+  result.provenance = run.provenance;
+  // The journal stores metrics, not the shape.
+  for (std::size_t i = 0; i < result.points.size(); ++i)
+    result.points[i].choice = choices[i];
   return result;
 }
 

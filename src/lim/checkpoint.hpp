@@ -1,22 +1,21 @@
-// Checkpoint/resume for DSE sweeps.
+// Journaled DSE sweeps: the paper's partition sweep (§3, Fig. 4c) on the
+// one journaled executor (util/jsonl.hpp).
 //
-// A sweep journals each completed DsePoint to a JSONL file (one object per
-// line, flushed as it lands) so a killed run loses at most the line being
-// written. Resuming loads the journal, skips every point whose config hash
-// matches, and recomputes only the rest — a torn last line (SIGKILL mid
-// write) is skipped, and entries from a *different* sweep (changed shapes
-// or options) never match any key, so stale checkpoints are ignored rather
-// than trusted.
+// Every sweep runs there, journaled or not. Each completed DsePoint is one
+// JSONL line keyed by its config hash, appended in sweep order, so the
+// journal is byte-identical for any `jobs`. Resuming reuses every point
+// whose key matches and recomputes only the rest: a torn last line (SIGKILL
+// mid write) counts as unwritten, and entries from a *different* sweep
+// (changed shapes or options) match no key, so stale checkpoints are
+// ignored rather than trusted.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "lim/dse.hpp"
+#include "util/jsonl.hpp"
 
 namespace limsynth::lim {
 
@@ -26,65 +25,22 @@ namespace limsynth::lim {
 std::uint64_t dse_point_key(const PartitionChoice& choice,
                             const SweepOptions& options);
 
-/// Appends one completed point as a JSONL line. Metrics use %.17g so a
-/// reloaded point is bit-identical to the computed one.
-void append_journal_entry(std::ostream& os, std::uint64_t key,
-                          const DsePoint& point);
-
-struct JournalLoad {
-  /// Journaled scalar results by config key. Loaded points carry the
-  /// summary metrics only (no BrickEstimate detail); `choice` is filled in
-  /// by the resuming sweep from its own point list.
-  std::map<std::uint64_t, DsePoint> points;
-  int malformed_lines = 0;  ///< complete-but-corrupt lines skipped
-  /// The journal ended mid-line (kill during the final append). The torn
-  /// fragment counts as unwritten — its point is re-evaluated — and is
-  /// deliberately NOT included in malformed_lines.
-  bool torn_tail = false;
-};
-
-/// Loads a journal. A missing file yields an empty load (resume of a
-/// never-started sweep just computes everything); an unreadable line is
-/// counted in malformed_lines and skipped.
-JournalLoad load_journal(const std::string& path);
-
-struct CheckpointOptions {
-  std::string journal_path;  ///< empty = no journaling
-  bool resume = false;       ///< load journal_path first, skip matching keys
-  /// Wall-clock budget for the whole sweep, checked between points; 0 =
-  /// unlimited. On expiry the sweep stops cleanly with timed_out set (the
-  /// journal holds everything finished so far).
-  double timeout_seconds = 0.0;
-  /// Worker threads evaluating points (<=1 = serial). Points are claimed
-  /// by atomic index and deposited into their sweep slot, and journal
-  /// lines are flushed strictly in sweep order behind a cursor — a
-  /// parallel run's journal, CSV, and Pareto front are byte-identical to
-  /// the serial run's for the same choices, options, and seed.
-  int jobs = 1;
-  /// Cooperative cancellation (SIGINT/SIGTERM handlers set it). Checked
-  /// between points like the watchdog: the sweep stops cleanly with
-  /// `interrupted` set and every completed point already flushed, so a
-  /// kill-and-resume never loses finished work.
-  const std::atomic<bool>* cancel = nullptr;
-};
+using CheckpointOptions = jsonl::RunOptions;
 
 struct CheckpointedSweep {
-  /// One point per choice in sweep order; truncated when timed_out.
+  /// One point per choice in sweep order: the journaled prefix, truncated
+  /// when the sweep stopped early. Points resumed from the journal carry
+  /// the summary metrics only (no BrickEstimate detail).
   std::vector<DsePoint> points;
-  int computed = 0;   ///< evaluated this run
-  int resumed = 0;    ///< satisfied from the journal
-  int stale = 0;      ///< journal entries matching no current point
-  int malformed = 0;  ///< complete journal lines skipped as corrupt
-  bool torn_tail = false;  ///< resumed journal ended mid-append
-  bool timed_out = false;
-  bool interrupted = false;  ///< stopped by CheckpointOptions::cancel
+  jsonl::Provenance provenance;
 };
 
-/// sweep_partitions with journaling, resume, and a wall-clock watchdog.
+/// Evaluates every choice (a failed point is recorded on its DsePoint, not
+/// thrown) with optional journaling, resume, watchdog and worker pool.
 /// Throws Error(kIo) when the journal file cannot be opened for append.
 CheckpointedSweep sweep_partitions_checkpointed(
     const std::vector<PartitionChoice>& choices, const tech::Process& process,
-    const SweepOptions& options, const CheckpointOptions& ckpt);
+    const SweepOptions& options = {}, const CheckpointOptions& ckpt = {});
 
 /// CSV with one row per point (header + shape, status, error code, and
 /// %.17g metrics). Stable formatting: a resumed sweep's CSV byte-matches

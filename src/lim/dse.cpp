@@ -108,16 +108,6 @@ DsePoint evaluate_partition_caught(const PartitionChoice& choice,
   }
 }
 
-std::vector<DsePoint> sweep_partitions(
-    const std::vector<PartitionChoice>& choices, const tech::Process& process,
-    const SweepOptions& options) {
-  std::vector<DsePoint> out;
-  out.reserve(choices.size());
-  for (const auto& c : choices)
-    out.push_back(evaluate_partition_caught(c, process, options));
-  return out;
-}
-
 std::vector<std::size_t> pareto_front(
     const std::vector<std::array<double, 3>>& points) {
   std::vector<std::size_t> front;

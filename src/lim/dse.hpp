@@ -11,7 +11,9 @@
 // its point is marked failed and carries the error message, and the
 // Pareto front considers the valid points only. With yield options set,
 // every point also gets a defect-aware post-repair yield (fault/ +
-// lim/yield), making manufacturability a fourth DSE axis.
+// lim/yield), making manufacturability a fourth DSE axis. The sweep itself
+// runs on the journaled executor: sweep_partitions_checkpointed
+// (lim/checkpoint.hpp).
 #pragma once
 
 #include <array>
@@ -79,7 +81,8 @@ struct DsePoint {
 };
 
 /// Evaluates one partition through the brick compiler + estimator.
-/// Throws on invalid shapes; sweep_partitions catches per point.
+/// Throws on invalid shapes; a sweep (lim/checkpoint.hpp) catches per
+/// point.
 DsePoint evaluate_partition(const PartitionChoice& choice,
                             const tech::Process& process,
                             const SweepOptions& options = {});
@@ -90,12 +93,6 @@ DsePoint evaluate_partition(const PartitionChoice& choice,
 DsePoint evaluate_partition_caught(const PartitionChoice& choice,
                                    const tech::Process& process,
                                    const SweepOptions& options = {});
-
-/// Sweeps a list of partitions. Never throws for individual bad points:
-/// each failure is recorded on its DsePoint and the sweep keeps going.
-std::vector<DsePoint> sweep_partitions(const std::vector<PartitionChoice>& choices,
-                                       const tech::Process& process,
-                                       const SweepOptions& options = {});
 
 /// Indices of the Pareto-minimal points over (delay, energy, area):
 /// a point survives unless another point is <= on all axes and < on one.

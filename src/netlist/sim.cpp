@@ -14,11 +14,6 @@ constexpr const char* kInputPins[4] = {"A", "B", "C", "D"};
 
 }  // namespace
 
-std::string cell_stem(const std::string& cell) {
-  const auto pos = cell.rfind("_X");
-  return pos == std::string::npos ? cell : cell.substr(0, pos);
-}
-
 std::uint64_t MacroModel::peek(int row) const {
   LIMS_FAIL(ErrorCode::kInvalidConfig,
             "macro model exposes no inspectable state (peek row " << row
@@ -42,21 +37,16 @@ Simulator::Simulator(const Netlist& nl, const tech::StdCellLib& cells)
   // the settle/clock hot loops never touch a string again. Unknown cells
   // (macros awaiting attach) and missing pins are recorded, not thrown —
   // the error surfaces at first evaluation, preserving the lazy contract.
-  std::unordered_map<std::string, tech::CellFunc> func_by_stem;
-  func_by_stem.reserve(cells.cells().size());
-  for (const auto& c : cells.cells())
-    func_by_stem[cell_stem(c.name)] = c.func;
-
   gates_.assign(nl.instance_storage_size(), GateBinding{});
   for (std::size_t i = 0; i < gates_.size(); ++i) {
     const auto id = static_cast<InstId>(i);
     if (!nl.is_live(id)) continue;
     const Instance& inst = nl.instance(id);
-    const auto fit = func_by_stem.find(cell_stem(inst.cell));
-    if (fit == func_by_stem.end()) continue;  // known=false: macro or error
+    const tech::StdCell* cell = cells.find(inst.cell);
+    if (cell == nullptr) continue;  // known=false: macro or error
     GateBinding& gb = gates_[i];
     gb.known = true;
-    gb.func = fit->second;
+    gb.func = cell->func;
     gb.sequential = tech::cell_func_sequential(gb.func);
     if (gb.sequential) {
       if (const NetId* d = inst.find_pin("D")) gb.d = *d;

@@ -20,10 +20,6 @@ namespace limsynth::netlist {
 
 class Simulator;
 
-/// Strips the drive suffix: "NAND2_X4" -> "NAND2". Both simulation
-/// engines use it to map instance cell names onto CellFunc templates.
-std::string cell_stem(const std::string& cell);
-
 /// Behavioral model for a macro instance (e.g. a memory brick bank).
 /// Called on every clock edge with read access to current net values and
 /// the ability to schedule its output values for the new cycle.

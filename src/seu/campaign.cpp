@@ -2,17 +2,14 @@
 
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <memory>
-#include <mutex>
 #include <sstream>
+#include <utility>
 
 #include "seu/batch.hpp"
 #include "util/error.hpp"
 #include "util/jsonl.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
-#include "util/watchdog.hpp"
 
 namespace limsynth::seu {
 
@@ -82,15 +79,20 @@ std::string campaign_key(const SeuRig& rig, const SitePlan& plan,
   return jsonl::to_hex(jsonl::fnv1a(os.str()));
 }
 
-void append_journal_line(std::ostream& os, const std::string& key,
-                         const SampleRecord& rec) {
+std::string journal_line(const std::string& key, const SampleRecord& rec) {
+  std::ostringstream os;
   os << "{\"campaign\":\"" << key << "\",\"sample\":" << rec.sample
      << ",\"kind\":\"" << site_kind_name(rec.kind) << "\",\"site\":\""
      << jsonl::json_escape(rec.site) << "\",\"cycle\":" << rec.cycle
      << ",\"outcome\":\"" << outcome_name(rec.outcome)
      << "\",\"latent\":" << (rec.latent ? "true" : "false")
      << ",\"detail\":\"" << jsonl::json_escape(rec.detail) << "\"}\n";
-  os.flush();
+  return os.str();
+}
+
+/// Executor key of one sample: the campaign fingerprint and the index.
+std::string sample_key(const std::string& campaign, std::uint64_t sample) {
+  return campaign + ":" + std::to_string(sample);
 }
 
 bool parse_kind(const std::string& name, SiteKind* out) {
@@ -104,12 +106,11 @@ bool parse_kind(const std::string& name, SiteKind* out) {
   return false;
 }
 
-/// Parses one journal line. Returns false on any torn or malformed
-/// field; `stale` is set instead when the line belongs to a different
-/// campaign (well-formed, just not ours).
-bool parse_journal_line(const std::string& line, const std::string& key,
-                        int samples, SampleRecord* rec, bool* stale) {
-  *stale = false;
+/// Parses one journal line into its executor key and record. Returns
+/// false on any torn or malformed field; a line from a different campaign
+/// parses fine and simply names no slot.
+bool parse_journal_line(const std::string& line, std::string* key,
+                        SampleRecord* rec) {
   if (line.empty() || line.front() != '{' || line.back() != '}') return false;
 
   std::size_t pos = jsonl::find_field(line, "campaign");
@@ -150,12 +151,8 @@ bool parse_journal_line(const std::string& line, const std::string& key,
   if (pos == std::string::npos || !jsonl::read_string(line, pos, &rec->detail))
     return false;
 
-  if (line_key != key ||
-      sample >= static_cast<std::uint64_t>(samples)) {
-    *stale = true;
-    return false;
-  }
-  rec->sample = static_cast<int>(sample);
+  *key = sample_key(line_key, sample);
+  rec->sample = static_cast<int>(sample);  // used only when the key matches
   return true;
 }
 
@@ -272,7 +269,6 @@ CampaignResult run_campaign(const SeuRig& rig, const tech::Process& process,
                             const CampaignOptions& opt) {
   DIAG_CONTEXT("seu campaign");
   LIMS_CHECK_MSG(opt.samples > 0, "campaign needs at least one sample");
-  LIMS_CHECK_MSG(opt.workers > 0, "campaign needs at least one worker");
   LIMS_CHECK_MSG(opt.burst > 0, "burst must flip at least one bit");
   LIMS_CHECK_MSG(rig.trace != nullptr && rig.trace->size() > 0,
                  "campaign needs a non-empty stimulus trace");
@@ -287,38 +283,6 @@ CampaignResult run_campaign(const SeuRig& rig, const tech::Process& process,
   LIMS_CHECK_MSG(plan.total() > 0, "design exposes no injectable sites");
   res.key = campaign_key(rig, plan, opt);
   res.records.assign(static_cast<std::size_t>(opt.samples), SampleRecord{});
-
-  // Resume: harvest completed samples from a previous journal. A torn
-  // tail (kill mid-append) counts as unwritten — that sample is simply
-  // re-run — while complete lines that fail to parse count as malformed.
-  if (opt.resume && !opt.journal_path.empty()) {
-    jsonl::JournalText text;
-    if (jsonl::read_journal_text(opt.journal_path, &text)) {
-      res.torn_tail = text.torn_tail;
-      for (const std::string& line : text.lines) {
-        SampleRecord rec;
-        bool stale = false;
-        if (parse_journal_line(line, res.key, opt.samples, &rec, &stale)) {
-          const auto i = static_cast<std::size_t>(rec.sample);
-          if (res.records[i].sample < 0) ++res.resumed;
-          res.records[i] = std::move(rec);  // last write wins
-        } else if (stale) {
-          ++res.stale;
-        } else {
-          ++res.malformed;
-        }
-      }
-    }
-  }
-
-  std::ofstream journal;
-  if (!opt.journal_path.empty()) {
-    journal.open(opt.journal_path,
-                 opt.resume ? std::ios::app : std::ios::trunc);
-    if (!journal)
-      LIMS_FAIL(ErrorCode::kIo,
-                "cannot open SEU journal: " << opt.journal_path);
-  }
 
   const GoldenRun golden = run_golden(rig);
 
@@ -338,62 +302,45 @@ CampaignResult run_campaign(const SeuRig& rig, const tech::Process& process,
     }
   }
 
+  const auto n = static_cast<std::size_t>(opt.samples);
+  std::vector<std::string> keys;
+  keys.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) keys.push_back(sample_key(res.key, i));
+  std::vector<InjectionSpec> specs(n);
+  std::vector<char> batched(n, 0);  // per slot; each unit writes its own
+  const auto batchable = [&](std::size_t i) {
+    return kernel != nullptr && specs[i].site.kind != SiteKind::kSetPulse;
+  };
+
   // Work units: macro-bit and flop samples group kBatchSamples to a
   // bit-plane pass (strata are contiguous in sample order, so groups stay
   // dense); SET samples — pulse-width physics — and kernel-less campaigns
-  // run as scalar singletons. Workers claim whole units.
-  struct WorkUnit {
-    std::vector<int> samples;
-    std::vector<InjectionSpec> specs;
-    bool batched = false;
-  };
-  std::vector<WorkUnit> units;
-  WorkUnit group;
-  group.batched = true;
-  for (int i = 0; i < opt.samples; ++i) {
-    if (res.records[static_cast<std::size_t>(i)].sample >= 0) continue;
-    InjectionSpec spec = plan_sample(rig, plan, opt, i);
-    if (kernel != nullptr && spec.site.kind != SiteKind::kSetPulse) {
-      group.samples.push_back(i);
-      group.specs.push_back(std::move(spec));
-      if (static_cast<int>(group.samples.size()) == kBatchSamples) {
-        units.push_back(std::move(group));
-        group = WorkUnit{};
-        group.batched = true;
+  // run as scalar singletons. Workers claim whole units; the executor
+  // still journals their samples in sample order.
+  const auto plan_units = [&](const std::vector<std::size_t>& todo) {
+    std::vector<std::vector<std::size_t>> units;
+    std::vector<std::size_t> group;
+    for (const std::size_t i : todo) {
+      specs[i] = plan_sample(rig, plan, opt, static_cast<int>(i));
+      if (!batchable(i)) {
+        units.push_back({i});
+        continue;
       }
-    } else {
-      WorkUnit u;
-      u.samples.push_back(i);
-      u.specs.push_back(std::move(spec));
-      units.push_back(std::move(u));
+      group.push_back(i);
+      if (static_cast<int>(group.size()) == kBatchSamples)
+        units.push_back(std::exchange(group, {}));
     }
-  }
-  if (!group.samples.empty()) units.push_back(std::move(group));
-
-  const Watchdog watchdog("SEU campaign", opt.timeout_seconds);
-  std::mutex mu;
-
-  parallel_for(units.size(), opt.workers, [&](std::size_t u) {
-    if (opt.cancel && opt.cancel->load(std::memory_order_relaxed)) {
-      // Signal-driven stop between units: the journal holds every
-      // completed sample, so a --resume run finishes the campaign.
-      const std::lock_guard<std::mutex> lock(mu);
-      res.interrupted = true;
-      return false;
-    }
-    if (watchdog.expired()) {
-      // Stop cleanly between units: the journal holds everything
-      // finished so far, so a --resume run completes the campaign.
-      const std::lock_guard<std::mutex> lock(mu);
-      res.timed_out = true;
-      return false;
-    }
-    const WorkUnit& unit = units[u];
+    if (!group.empty()) units.push_back(std::move(group));
+    return units;
+  };
+  const auto run_unit = [&](const std::vector<std::size_t>& unit) {
+    std::vector<InjectionSpec> unit_specs;
+    for (const std::size_t i : unit) unit_specs.push_back(specs[i]);
     std::vector<InjectionResult> runs;
     bool via_batch = false;
-    if (unit.batched) {
+    if (batchable(unit.front())) {
       try {
-        runs = run_batch(rig, *kernel, golden, unit.specs);
+        runs = run_batch(rig, *kernel, golden, unit_specs);
         via_batch = true;
       } catch (const Error&) {
         // The kernel bailed (engine error, watchdog expiry, golden
@@ -402,27 +349,33 @@ CampaignResult run_campaign(const SeuRig& rig, const tech::Process& process,
       }
     }
     if (!via_batch) {
-      runs.reserve(unit.specs.size());
-      for (const InjectionSpec& spec : unit.specs)
+      runs.reserve(unit_specs.size());
+      for (const InjectionSpec& spec : unit_specs)
         runs.push_back(run_injection(rig, golden, spec));
     }
-    const std::lock_guard<std::mutex> lock(mu);
-    for (std::size_t s = 0; s < unit.samples.size(); ++s) {
-      SampleRecord rec;
-      rec.sample = unit.samples[s];
-      rec.kind = unit.specs[s].site.kind;
-      rec.site = unit.specs[s].site.describe(rig.design->nl);
-      rec.cycle = unit.specs[s].cycle;
-      rec.outcome = runs[s].outcome;
-      rec.latent = runs[s].latent;
-      rec.detail = runs[s].detail;
-      if (journal.is_open()) append_journal_line(journal, res.key, rec);
-      res.records[static_cast<std::size_t>(rec.sample)] = std::move(rec);
-      ++res.computed;
+    std::vector<SampleRecord> recs(unit.size());
+    for (std::size_t s = 0; s < unit.size(); ++s) {
+      recs[s].sample = static_cast<int>(unit[s]);
+      recs[s].kind = unit_specs[s].site.kind;
+      recs[s].site = unit_specs[s].site.describe(rig.design->nl);
+      recs[s].cycle = unit_specs[s].cycle;
+      recs[s].outcome = runs[s].outcome;
+      recs[s].latent = runs[s].latent;
+      recs[s].detail = runs[s].detail;
+      batched[unit[s]] = via_batch;
     }
-    if (via_batch) res.batched += static_cast<int>(unit.samples.size());
-    return true;
-  });
+    return recs;
+  };
+  const auto format = [&](const std::string&, const SampleRecord& rec) {
+    return journal_line(res.key, rec);
+  };
+  jsonl::Journaled<SampleRecord> run = jsonl::run_journaled<SampleRecord>(
+      "SEU", opt.run, keys, parse_journal_line, format, plan_units, run_unit);
+  res.provenance = run.provenance;
+  for (std::size_t i = 0; i < run.records.size(); ++i) {
+    res.batched += batched[i];
+    res.records[i] = std::move(run.records[i]);
+  }
 
   // Aggregate from the ordered records alone (determinism contract).
   for (int k = 0; k < kSiteKinds; ++k)
@@ -465,7 +418,7 @@ std::string format_campaign_report(const CampaignResult& res,
   // deliberately absent: a killed-and-resumed campaign must render the
   // byte-identical report an uninterrupted run renders. The CLI prints
   // provenance separately.
-  if (res.timed_out)
+  if (res.provenance.timed_out)
     os << "  TIMED OUT with " << (res.samples - res.completed)
        << " sample(s) missing; rerun with --resume to finish\n";
 

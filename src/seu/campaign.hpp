@@ -12,20 +12,21 @@
 // ordered by sample index — so the bytes of the report are identical for
 // any --workers value and any completed/resumed split.
 //
-// Journaling follows the DSE checkpoint idiom (lim/checkpoint.hpp): one
-// JSON line per completed sample, flushed as produced, keyed by a
-// campaign fingerprint covering everything that affects per-sample
-// results. Resuming tolerates torn trailing lines (a SIGKILL mid-write)
-// and skips entries from a different campaign.
+// A campaign runs on the one journaled executor (util/jsonl.hpp), like a
+// DSE sweep (lim/checkpoint.hpp): one JSON line per completed sample,
+// appended in sample order and keyed by a campaign fingerprint covering
+// everything that affects per-sample results, so the journal bytes are
+// identical for any --workers value too. Resuming tolerates torn trailing
+// lines (a SIGKILL mid-write) and skips entries from a different campaign.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "fault/soft.hpp"
 #include "seu/seu.hpp"
+#include "util/jsonl.hpp"
 #include "util/stats.hpp"
 
 namespace limsynth::seu {
@@ -33,8 +34,6 @@ namespace limsynth::seu {
 struct CampaignOptions {
   int samples = 1000;
   std::uint64_t seed = 1;
-  /// Worker threads; each owns a private EventSimulator per run.
-  int workers = 1;
   /// Adjacent macro bits flipped per SEU (1 = single-bit, >1 = MCU burst).
   int burst = 1;
   /// SET pulse width (deposited-charge duration, seconds).
@@ -51,18 +50,11 @@ struct CampaignOptions {
   /// campaign fingerprint: batched and scalar runs produce byte-identical
   /// reports and interoperable journals.
   bool batch = true;
-  /// Whole-campaign budget; 0 = unlimited. Expiry stops cleanly between
-  /// samples with the journal intact, so --resume can finish the rest.
-  double timeout_seconds = 0.0;
-  /// JSONL journal path; empty disables journaling (and resume).
-  std::string journal_path;
-  /// Reuse completed samples from an existing journal instead of
-  /// truncating it.
-  bool resume = false;
-  /// Cooperative cancellation (SIGINT/SIGTERM handlers set it). Checked
-  /// between samples; the campaign stops cleanly with `interrupted` set
-  /// and the journal holding every completed sample.
-  const std::atomic<bool>* cancel = nullptr;
+  /// Journal, resume, whole-campaign budget, cancellation and worker
+  /// threads (`run.jobs`; each run owns a private EventSimulator). A
+  /// stopped campaign leaves the journal holding every sample of its
+  /// result, so --resume can finish the rest.
+  jsonl::RunOptions run;
 };
 
 struct SampleRecord {
@@ -92,17 +84,11 @@ struct CampaignResult {
   std::string key;        // campaign fingerprint (hex)
   int samples = 0;        // requested
   int completed = 0;      // records with sample >= 0
-  int computed = 0;       // run in this invocation
   int batched = 0;        // computed samples classified by the batch kernel
-  int resumed = 0;        // reused from the journal
   /// Kernel-choice provenance ("bitplane", or "scalar (<reason>)").
-  /// Excluded from the report for the same reason computed/resumed are.
+  /// Excluded from the report for the same reason `provenance` is.
   std::string kernel;
-  int malformed = 0;      // complete-but-unparseable journal lines skipped
-  int stale = 0;          // journal lines from a different campaign
-  bool torn_tail = false; // resumed journal ended mid-append (kill artifact)
-  bool timed_out = false;
-  bool interrupted = false;  // stopped by CampaignOptions::cancel
+  jsonl::Provenance provenance;
 
   std::vector<SampleRecord> records;  // indexed by sample
   StratumStats strata[kSiteKinds];

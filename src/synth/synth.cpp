@@ -1,17 +1,11 @@
 #include "synth/synth.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "netlist/bound.hpp"
 #include "util/log.hpp"
 
 namespace limsynth::synth {
-
-std::string cell_stem(const std::string& cell) {
-  const auto pos = cell.rfind("_X");
-  return pos == std::string::npos ? cell : cell.substr(0, pos);
-}
 
 namespace {
 
@@ -104,9 +98,6 @@ int buffer_fanout(Netlist& nl, const liberty::Library& lib, int max_fanout) {
 int size_gates(Netlist& nl, const liberty::Library& lib,
                const tech::StdCellLib& cells, const SynthOptions& opt) {
   int resized = 0;
-  std::map<std::string, tech::CellFunc> func_by_stem;
-  for (const auto& c : cells.cells()) func_by_stem[cell_stem(c.name)] = c.func;
-
   // Topology is frozen during sizing (buffering ran already), only drive
   // strengths change: bind once for connectivity and keep each instance's
   // library cell and std-cell template in arrays updated in place when a
@@ -121,10 +112,9 @@ int size_gates(Netlist& nl, const liberty::Library& lib,
     const auto id = static_cast<InstId>(i);
     if (!nl.is_live(id)) continue;
     lib_of[i] = &bd.cell(id);
-    const auto fit = func_by_stem.find(cell_stem(lib_of[i]->name));
-    if (fit == func_by_stem.end()) continue;  // macro: leave alone
-    func_of[i] = static_cast<int>(fit->second);
-    std_of[i] = &cells.by_name(lib_of[i]->name);
+    std_of[i] = cells.find(lib_of[i]->name);
+    if (std_of[i] == nullptr) continue;  // macro: leave alone
+    func_of[i] = static_cast<int>(std_of[i]->func);
   }
 
   for (int pass = 0; pass < opt.sizing_passes; ++pass) {

@@ -44,7 +44,4 @@ SynthStats synthesize(netlist::Netlist& nl, const liberty::Library& lib,
 int resize_gates(netlist::Netlist& nl, const liberty::Library& lib,
                  const tech::StdCellLib& cells, const SynthOptions& options);
 
-/// Strips the drive suffix from a cell name ("NAND2_X4" -> "NAND2").
-std::string cell_stem(const std::string& cell);
-
 }  // namespace limsynth::synth

@@ -121,6 +121,7 @@ StdCellLib::StdCellLib(const Process& process) : process_(process) {
 
   cells_.reserve(kTemplates.size() * kDrives.size());
   for (const auto& t : kTemplates) {
+    family_[static_cast<std::size_t>(t.func)].first = cells_.size();
     for (double d : kDrives) {
       if ((t.func == CellFunc::kTie0 || t.func == CellFunc::kTie1) && d > 1.0)
         continue;
@@ -146,6 +147,7 @@ StdCellLib::StdCellLib(const Process& process) : process_(process) {
       }
       cells_.push_back(c);
     }
+    family_[static_cast<std::size_t>(t.func)].second = cells_.size();
   }
 }
 
@@ -162,10 +164,24 @@ const StdCell& StdCellLib::pick(CellFunc func, double min_drive) const {
   return best ? *best : *largest;
 }
 
-const StdCell& StdCellLib::by_name(const std::string& name) const {
-  for (const auto& c : cells_) {
-    if (c.name == name) return c;
+const StdCell* StdCellLib::find(std::string_view name) const {
+  // Names are "<function>_X<drive>": match the function, then scan its
+  // drive family. No per-library index to build, so constructing a
+  // library costs no more than its cells.
+  const std::size_t pos = name.rfind("_X");
+  if (pos == std::string_view::npos) return nullptr;
+  const std::string_view stem = name.substr(0, pos);
+  for (std::size_t f = 0; f < family_.size(); ++f) {
+    if (stem != cell_func_name(static_cast<CellFunc>(f))) continue;
+    for (std::size_t i = family_[f].first; i < family_[f].second; ++i)
+      if (cells_[i].name == name) return &cells_[i];
+    return nullptr;
   }
+  return nullptr;
+}
+
+const StdCell& StdCellLib::by_name(const std::string& name) const {
+  if (const StdCell* c = find(name)) return *c;
   throw Error("no standard cell named " + name);
 }
 

@@ -10,8 +10,11 @@
 // (see tech/pattern.hpp) — the enabling observation of the paper (§2.1).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "tech/pattern.hpp"
@@ -110,6 +113,10 @@ class StdCellLib {
   /// possible) the requested drive.
   const StdCell& pick(CellFunc func, double min_drive) const;
 
+  /// Exact-name lookup ("NAND2_X4"); nullptr for any other name, such as
+  /// a memory macro's.
+  const StdCell* find(std::string_view name) const;
+
   /// Exact-name lookup; throws if absent.
   const StdCell& by_name(const std::string& name) const;
 
@@ -119,6 +126,10 @@ class StdCellLib {
  private:
   Process process_;
   std::vector<StdCell> cells_;
+  /// Each function's drive family: its [begin, end) range in cells_.
+  std::array<std::pair<std::size_t, std::size_t>,
+             static_cast<std::size_t>(CellFunc::kTie1) + 1>
+      family_{};
   double row_height_ = 0.0;
 };
 

@@ -53,6 +53,12 @@ TEST(Lut2D, RejectsMalformedAxes) {
   EXPECT_THROW(Lut2D({1.0, 2.0}, {1.0, 2.0}, {1, 2, 3}), Error);
 }
 
+TEST(Lut2D, RejectsRepeatedAxisPoint) {
+  // A repeated point makes a zero-width cell that lookup() would divide by.
+  EXPECT_THROW(Lut2D({1, 1}, {1, 2}, {1, 2, 3, 4}), Error);
+  EXPECT_THROW(Lut2D({1, 2}, {3, 3}, {1, 2, 3, 4}), Error);
+}
+
 TEST(Library, AddAndLookup) {
   Library lib("test");
   LibCell c;

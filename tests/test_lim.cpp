@@ -12,7 +12,7 @@
 #include "fault/inject.hpp"
 #include "lim/brick_opt.hpp"
 #include "lim/cam_block.hpp"
-#include "lim/dse.hpp"
+#include "lim/checkpoint.hpp"
 #include "lim/flow.hpp"
 #include "lim/report.hpp"
 #include "lim/yield.hpp"
@@ -256,7 +256,7 @@ TEST(Dse, SweepDegradesGracefully) {
       {0, 8, 16},    // empty array
       {128, 8, 13},  // 128 not divisible by 13
   };
-  const auto pts = sweep_partitions(choices, ctx.process);
+  const auto pts = sweep_partitions_checkpointed(choices, ctx.process).points;
   ASSERT_EQ(pts.size(), choices.size());
   const std::vector<bool> expect_ok = {true, false, true, false, false};
   for (std::size_t i = 0; i < pts.size(); ++i) {
@@ -280,7 +280,8 @@ TEST(Dse, YieldAxisDeterministicAndFiltersFront) {
   opt.defect_density_per_m2 = 5e8;  // hot process: yields clearly below 1
   const std::vector<PartitionChoice> choices = {
       {64, 8, 16}, {128, 8, 16}, {256, 8, 16}};
-  const auto pts = sweep_partitions(choices, ctx.process, opt);
+  const auto pts =
+      sweep_partitions_checkpointed(choices, ctx.process, opt).points;
   for (const auto& p : pts) {
     EXPECT_GE(p.post_repair_yield, 0.0);
     EXPECT_LE(p.post_repair_yield, 1.0);
@@ -288,7 +289,8 @@ TEST(Dse, YieldAxisDeterministicAndFiltersFront) {
   // Bigger arrays collect more defects: yield falls with area.
   EXPECT_GE(pts[0].post_repair_yield, pts[2].post_repair_yield);
   // Same options, same seed: bit-identical yields.
-  const auto again = sweep_partitions(choices, ctx.process, opt);
+  const auto again =
+      sweep_partitions_checkpointed(choices, ctx.process, opt).points;
   for (std::size_t i = 0; i < pts.size(); ++i)
     EXPECT_DOUBLE_EQ(pts[i].post_repair_yield, again[i].post_repair_yield);
   // A yield floor above every point empties the front; floor 0 keeps it.
@@ -301,7 +303,7 @@ TEST(Dse, SweepFrontNeverEmpty) {
   std::vector<PartitionChoice> choices;
   for (int bits : {8, 16})
     for (int bw : {16, 32, 64}) choices.push_back({128, bits, bw});
-  const auto pts = sweep_partitions(choices, ctx.process);
+  const auto pts = sweep_partitions_checkpointed(choices, ctx.process).points;
   const auto front = pareto_front(pts);
   EXPECT_FALSE(front.empty());
   EXPECT_LE(front.size(), pts.size());

@@ -71,39 +71,47 @@ TEST(CheckpointKey, ChangesWithChoiceAndOptions) {
 
 TEST(CheckpointJournal, RoundTripsPointsExactly) {
   const auto process = tech::default_process();
+  const auto choices = small_sweep();
   const SweepOptions opts;
-  const auto points = sweep_partitions(small_sweep(), process, opts);
-  ASSERT_FALSE(points.empty());
-
-  std::ostringstream journal;
-  for (const auto& p : points)
-    append_journal_entry(journal, dse_point_key(p.choice, opts), p);
-
   const std::string path = temp_path("rt_journal.jsonl");
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << journal.str();
-  }
-  const JournalLoad load = load_journal(path);
-  EXPECT_EQ(load.malformed_lines, 0);
+  std::remove(path.c_str());
+
+  CheckpointOptions ckpt;
+  ckpt.journal_path = path;
+  const auto points =
+      sweep_partitions_checkpointed(choices, process, opts, ckpt).points;
+  ASSERT_EQ(points.size(), choices.size());
+
+  ckpt.resume = true;
+  const auto load = sweep_partitions_checkpointed(choices, process, opts, ckpt);
+  EXPECT_EQ(load.provenance.malformed, 0);
+  EXPECT_EQ(load.provenance.resumed, static_cast<int>(points.size()));
   ASSERT_EQ(load.points.size(), points.size());
-  for (const auto& p : points) {
-    const auto it = load.points.find(dse_point_key(p.choice, opts));
-    ASSERT_NE(it, load.points.end());
-    EXPECT_EQ(it->second.ok, p.ok);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const DsePoint& p = points[i];
+    const DsePoint& q = load.points[i];
+    EXPECT_EQ(q.choice.label(), p.choice.label());
+    EXPECT_EQ(q.ok, p.ok);
     // %.17g round-trips doubles bit-exactly.
-    EXPECT_EQ(it->second.read_delay, p.read_delay);
-    EXPECT_EQ(it->second.read_energy, p.read_energy);
-    EXPECT_EQ(it->second.area, p.area);
-    EXPECT_EQ(it->second.post_repair_yield, p.post_repair_yield);
+    EXPECT_EQ(q.read_delay, p.read_delay);
+    EXPECT_EQ(q.read_energy, p.read_energy);
+    EXPECT_EQ(q.area, p.area);
+    EXPECT_EQ(q.post_repair_yield, p.post_repair_yield);
   }
   std::remove(path.c_str());
 }
 
 TEST(CheckpointJournal, MissingFileResumesEmpty) {
-  const JournalLoad load = load_journal(temp_path("does_not_exist.jsonl"));
-  EXPECT_TRUE(load.points.empty());
-  EXPECT_EQ(load.malformed_lines, 0);
+  CheckpointOptions ckpt;
+  ckpt.journal_path = temp_path("does_not_exist.jsonl");
+  std::remove(ckpt.journal_path.c_str());
+  ckpt.resume = true;
+  const auto sweep = sweep_partitions_checkpointed(
+      small_sweep(), tech::default_process(), {}, ckpt);
+  EXPECT_EQ(sweep.provenance.resumed, 0);
+  EXPECT_EQ(sweep.provenance.malformed, 0);
+  EXPECT_EQ(sweep.provenance.computed, static_cast<int>(small_sweep().size()));
+  std::remove(ckpt.journal_path.c_str());
 }
 
 TEST(CheckpointResume, TornLastLineIsSkippedAndRecomputed) {
@@ -114,14 +122,15 @@ TEST(CheckpointResume, TornLastLineIsSkippedAndRecomputed) {
   std::remove(path.c_str());
 
   // Reference: one uninterrupted sweep.
-  const auto full = sweep_partitions(choices, process, opts);
+  const auto full =
+      sweep_partitions_checkpointed(choices, process, opts).points;
 
   // "Killed" run: journal all points, then tear the last line mid-write
   // the way SIGKILL during a flush would.
   CheckpointOptions ckpt;
   ckpt.journal_path = path;
   const auto first = sweep_partitions_checkpointed(choices, process, opts, ckpt);
-  EXPECT_EQ(first.computed, static_cast<int>(choices.size()));
+  EXPECT_EQ(first.provenance.computed, static_cast<int>(choices.size()));
   std::string journal_text = read_file(path);
   ASSERT_GT(journal_text.size(), 30u);
   journal_text.resize(journal_text.size() - 25);  // torn mid-entry, no '\n'
@@ -136,11 +145,12 @@ TEST(CheckpointResume, TornLastLineIsSkippedAndRecomputed) {
       sweep_partitions_checkpointed(choices, process, opts, resume);
   // A torn tail is a kill artifact, not corruption: the fragment counts
   // as unwritten, is flagged as torn_tail, and is NOT counted malformed.
-  EXPECT_EQ(resumed.malformed, 0);
-  EXPECT_TRUE(resumed.torn_tail);
-  EXPECT_EQ(resumed.computed, 1);  // only the torn point is recomputed
-  EXPECT_EQ(resumed.resumed, static_cast<int>(choices.size()) - 1);
-  EXPECT_FALSE(resumed.timed_out);
+  EXPECT_EQ(resumed.provenance.malformed, 0);
+  EXPECT_TRUE(resumed.provenance.torn_tail);
+  // Only the torn point is recomputed.
+  EXPECT_EQ(resumed.provenance.computed, 1);
+  EXPECT_EQ(resumed.provenance.resumed, static_cast<int>(choices.size()) - 1);
+  EXPECT_FALSE(resumed.provenance.timed_out);
   ASSERT_EQ(resumed.points.size(), full.size());
   // The resumed sweep's CSV byte-matches the uninterrupted run's.
   EXPECT_EQ(csv_of(resumed.points), csv_of(full));
@@ -167,9 +177,9 @@ TEST(CheckpointResume, StaleEntriesFromChangedOptionsAreIgnored) {
   resume.resume = true;
   const auto resumed =
       sweep_partitions_checkpointed(choices, process, changed, resume);
-  EXPECT_EQ(resumed.resumed, 0);
-  EXPECT_EQ(resumed.computed, static_cast<int>(choices.size()));
-  EXPECT_EQ(resumed.stale, static_cast<int>(choices.size()));
+  EXPECT_EQ(resumed.provenance.resumed, 0);
+  EXPECT_EQ(resumed.provenance.computed, static_cast<int>(choices.size()));
+  EXPECT_EQ(resumed.provenance.stale, static_cast<int>(choices.size()));
   std::remove(path.c_str());
 }
 
@@ -184,16 +194,18 @@ TEST(CheckpointResume, TimeoutStopsBetweenPointsAndResumeFinishes) {
   ckpt.journal_path = path;
   ckpt.timeout_seconds = 1e-9;  // expires before the first point computes
   const auto cut = sweep_partitions_checkpointed(choices, process, opts, ckpt);
-  EXPECT_TRUE(cut.timed_out);
+  EXPECT_TRUE(cut.provenance.timed_out);
   EXPECT_LT(cut.points.size(), choices.size());
 
   CheckpointOptions resume = ckpt;
   resume.resume = true;
   resume.timeout_seconds = 0.0;
   const auto done = sweep_partitions_checkpointed(choices, process, opts, resume);
-  EXPECT_FALSE(done.timed_out);
+  EXPECT_FALSE(done.provenance.timed_out);
   ASSERT_EQ(done.points.size(), choices.size());
-  EXPECT_EQ(csv_of(done.points), csv_of(sweep_partitions(choices, process, opts)));
+  EXPECT_EQ(csv_of(done.points),
+            csv_of(
+                sweep_partitions_checkpointed(choices, process, opts).points));
   std::remove(path.c_str());
 }
 
@@ -211,8 +223,8 @@ TEST(CheckpointResume, CancelStopsBetweenPointsAndResumeFinishes) {
   ckpt.journal_path = path;
   ckpt.cancel = &cancel;
   const auto cut = sweep_partitions_checkpointed(choices, process, opts, ckpt);
-  EXPECT_TRUE(cut.interrupted);
-  EXPECT_FALSE(cut.timed_out);
+  EXPECT_TRUE(cut.provenance.interrupted);
+  EXPECT_FALSE(cut.provenance.timed_out);
   EXPECT_LT(cut.points.size(), choices.size());
 
   // Resume with the flag cleared: finishes the rest, and the result
@@ -221,10 +233,11 @@ TEST(CheckpointResume, CancelStopsBetweenPointsAndResumeFinishes) {
   CheckpointOptions resume = ckpt;
   resume.resume = true;
   const auto done = sweep_partitions_checkpointed(choices, process, opts, resume);
-  EXPECT_FALSE(done.interrupted);
+  EXPECT_FALSE(done.provenance.interrupted);
   ASSERT_EQ(done.points.size(), choices.size());
   EXPECT_EQ(csv_of(done.points),
-            csv_of(sweep_partitions(choices, process, opts)));
+            csv_of(
+                sweep_partitions_checkpointed(choices, process, opts).points));
   std::remove(path.c_str());
 }
 
@@ -256,12 +269,14 @@ TEST(CheckpointResume, CorruptCompleteLineIsMalformedButTornTailIsNot) {
   resume.resume = true;
   const auto resumed =
       sweep_partitions_checkpointed(choices, process, opts, resume);
-  EXPECT_EQ(resumed.malformed, 1);  // the garbage line only
-  EXPECT_TRUE(resumed.torn_tail);
-  EXPECT_EQ(resumed.computed, 2);  // garbage point + torn point recomputed
-  EXPECT_EQ(resumed.resumed, static_cast<int>(choices.size()) - 2);
+  EXPECT_EQ(resumed.provenance.malformed, 1);  // the garbage line only
+  EXPECT_TRUE(resumed.provenance.torn_tail);
+  // The garbage point and the torn point are recomputed.
+  EXPECT_EQ(resumed.provenance.computed, 2);
+  EXPECT_EQ(resumed.provenance.resumed, static_cast<int>(choices.size()) - 2);
   EXPECT_EQ(csv_of(resumed.points),
-            csv_of(sweep_partitions(choices, process, opts)));
+            csv_of(
+                sweep_partitions_checkpointed(choices, process, opts).points));
   std::remove(path.c_str());
 }
 
@@ -311,16 +326,30 @@ TEST(CheckpointParallel, ResumesFromSerialJournal) {
   std::remove(first.journal_path.c_str());
   const CheckpointedSweep serial = sweep_partitions_checkpointed(
       choices, tech::default_process(), {}, first);
-  EXPECT_EQ(serial.computed, static_cast<int>(choices.size()));
+  EXPECT_EQ(serial.provenance.computed, static_cast<int>(choices.size()));
 
   CheckpointOptions again = first;
   again.resume = true;
   again.jobs = 8;
   const CheckpointedSweep resumed = sweep_partitions_checkpointed(
       choices, tech::default_process(), {}, again);
-  EXPECT_EQ(resumed.computed, 0);
-  EXPECT_EQ(resumed.resumed, static_cast<int>(choices.size()));
+  EXPECT_EQ(resumed.provenance.computed, 0);
+  EXPECT_EQ(resumed.provenance.resumed, static_cast<int>(choices.size()));
   EXPECT_EQ(csv_of(serial.points), csv_of(resumed.points));
+}
+
+TEST(CheckpointParallel, RejectsZeroJobs) {
+  // The executor validates its worker count the same way for DSE sweeps
+  // and SEU campaigns.
+  CheckpointOptions ckpt;
+  ckpt.jobs = 0;
+  try {
+    sweep_partitions_checkpointed(small_sweep(), tech::default_process(), {},
+                                  ckpt);
+    FAIL() << "expected throw";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidConfig);
+  }
 }
 
 TEST(CheckpointResume, ThrowsIoWhenJournalUnwritable) {
@@ -344,7 +373,7 @@ TEST(Sweep, SickPointIsFlaggedNotFatal) {
   sick.brick_words = 24;  // does not divide 128
   choices.push_back(sick);
 
-  const auto points = sweep_partitions(choices, process, {});
+  const auto points = sweep_partitions_checkpointed(choices, process).points;
   ASSERT_EQ(points.size(), choices.size());
   for (std::size_t i = 0; i + 1 < points.size(); ++i)
     EXPECT_TRUE(points[i].ok) << points[i].error;

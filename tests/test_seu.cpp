@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
@@ -269,14 +270,77 @@ TEST(SeuCampaign, ReportIsByteIdenticalAcrossWorkerCounts) {
   CampaignOptions opt;
   opt.samples = 96;
   opt.seed = 11;
-  opt.workers = 1;
+  opt.run.jobs = 1;
   const CampaignResult serial = run_campaign(b.rig, b.process, opt);
-  opt.workers = 4;
+  opt.run.jobs = 4;
   const CampaignResult parallel = run_campaign(b.rig, b.process, opt);
   EXPECT_EQ(format_campaign_report(serial, b.design.config),
             format_campaign_report(parallel, b.design.config));
   EXPECT_TRUE(serial.complete());
   EXPECT_TRUE(parallel.complete());
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+TEST(SeuCampaign, JournalIsByteIdenticalAcrossWorkerCounts) {
+  // Batched groups, scalar SET singletons and several workers finish out of
+  // order; the executor still journals every sample in sample order.
+  RigBundle b(config_a(false), 16);
+  const std::string one = testing::TempDir() + "seu_journal_w1.jsonl";
+  const std::string four = testing::TempDir() + "seu_journal_w4.jsonl";
+  std::remove(one.c_str());
+  std::remove(four.c_str());
+  CampaignOptions opt;
+  opt.samples = 150;
+  opt.seed = 19;
+  opt.run.jobs = 1;
+  opt.run.journal_path = one;
+  const CampaignResult serial = run_campaign(b.rig, b.process, opt);
+  opt.run.jobs = 4;
+  opt.run.journal_path = four;
+  const CampaignResult parallel = run_campaign(b.rig, b.process, opt);
+  EXPECT_GT(serial.batched, 0);
+  const std::string journal = read_file(one);
+  EXPECT_EQ(std::count(journal.begin(), journal.end(), '\n'), 150);
+  EXPECT_EQ(journal, read_file(four));
+  EXPECT_EQ(format_campaign_report(serial, b.design.config),
+            format_campaign_report(parallel, b.design.config));
+  std::remove(one.c_str());
+  std::remove(four.c_str());
+}
+
+TEST(SeuCampaign, RerunWithoutResumeAppendsToTheJournal) {
+  RigBundle b(config_a(false), 16);
+  const std::string journal = testing::TempDir() + "seu_append_journal.jsonl";
+  std::remove(journal.c_str());
+  CampaignOptions opt;
+  opt.samples = 30;
+  opt.seed = 29;
+  opt.run.jobs = 2;
+  opt.run.journal_path = journal;
+  const CampaignResult first = run_campaign(b.rig, b.process, opt);
+  const std::string once = read_file(journal);
+
+  // A rerun without --resume never discards finished work: it appends,
+  // and a later resume takes the last line for each sample.
+  const CampaignResult again = run_campaign(b.rig, b.process, opt);
+  EXPECT_EQ(again.provenance.computed, 30);
+  EXPECT_EQ(read_file(journal), once + once);
+
+  opt.run.resume = true;
+  const CampaignResult resumed = run_campaign(b.rig, b.process, opt);
+  EXPECT_EQ(resumed.provenance.resumed, 30);
+  EXPECT_EQ(resumed.provenance.computed, 0);
+  EXPECT_EQ(resumed.provenance.stale, 0);
+  EXPECT_EQ(format_campaign_report(resumed, b.design.config),
+            format_campaign_report(first, b.design.config));
+  EXPECT_EQ(read_file(journal), once + once);
+  std::remove(journal.c_str());
 }
 
 TEST(SeuCampaign, ResumeAfterTruncationReproducesTheFullReport) {
@@ -288,8 +352,8 @@ TEST(SeuCampaign, ResumeAfterTruncationReproducesTheFullReport) {
   CampaignOptions opt;
   opt.samples = 60;
   opt.seed = 13;
-  opt.workers = 2;
-  opt.journal_path = journal;
+  opt.run.jobs = 2;
+  opt.run.journal_path = journal;
   const CampaignResult full = run_campaign(b.rig, b.process, opt);
   const std::string want = format_campaign_report(full, b.design.config);
 
@@ -311,12 +375,12 @@ TEST(SeuCampaign, ResumeAfterTruncationReproducesTheFullReport) {
            "\"outcome\":\"masked\",\"latent\":false,\"detail\":\"\"}\n";
   }
 
-  opt.resume = true;
+  opt.run.resume = true;
   const CampaignResult resumed = run_campaign(b.rig, b.process, opt);
-  EXPECT_EQ(resumed.resumed, 20);
-  EXPECT_EQ(resumed.computed, 40);
-  EXPECT_EQ(resumed.malformed, 1);
-  EXPECT_EQ(resumed.stale, 1);
+  EXPECT_EQ(resumed.provenance.resumed, 20);
+  EXPECT_EQ(resumed.provenance.computed, 40);
+  EXPECT_EQ(resumed.provenance.malformed, 1);
+  EXPECT_EQ(resumed.provenance.stale, 1);
   EXPECT_EQ(format_campaign_report(resumed, b.design.config), want);
 }
 
@@ -329,8 +393,8 @@ TEST(SeuCampaign, CancelStopsCleanlyAndResumeReproducesTheReport) {
   CampaignOptions opt;
   opt.samples = 40;
   opt.seed = 17;
-  opt.workers = 2;
-  opt.journal_path = journal;
+  opt.run.jobs = 2;
+  opt.run.journal_path = journal;
   const CampaignResult full = run_campaign(b.rig, b.process, opt);
   const std::string want = format_campaign_report(full, b.design.config);
   std::remove(journal.c_str());
@@ -338,15 +402,15 @@ TEST(SeuCampaign, CancelStopsCleanlyAndResumeReproducesTheReport) {
   // SIGINT arriving before the first sample: the campaign stops cleanly
   // with `interrupted` set and nothing half-written.
   std::atomic<bool> cancel{true};
-  opt.cancel = &cancel;
+  opt.run.cancel = &cancel;
   const CampaignResult cut = run_campaign(b.rig, b.process, opt);
-  EXPECT_TRUE(cut.interrupted);
+  EXPECT_TRUE(cut.provenance.interrupted);
   EXPECT_FALSE(cut.complete());
 
   cancel.store(false);
-  opt.resume = true;
+  opt.run.resume = true;
   const CampaignResult resumed = run_campaign(b.rig, b.process, opt);
-  EXPECT_FALSE(resumed.interrupted);
+  EXPECT_FALSE(resumed.provenance.interrupted);
   EXPECT_TRUE(resumed.complete());
   EXPECT_EQ(format_campaign_report(resumed, b.design.config), want);
   std::remove(journal.c_str());
@@ -373,7 +437,7 @@ TEST(SeuCampaign, SecdedShiftsSdcToCorrectedWithConfidence) {
   CampaignOptions opt;
   opt.samples = 300;
   opt.seed = 7;
-  opt.workers = 4;
+  opt.run.jobs = 4;
   const CampaignResult r0 = run_campaign(plain.rig, plain.process, opt);
   const CampaignResult r1 = run_campaign(ecc.rig, ecc.process, opt);
   ASSERT_TRUE(r0.complete());
@@ -453,7 +517,7 @@ TEST(SeuBatch, BatchedCampaignReportIsByteIdenticalToScalar) {
     CampaignOptions opt;
     opt.samples = 200;
     opt.seed = 21;
-    opt.workers = 2;
+    opt.run.jobs = 2;
     const CampaignResult batched = run_campaign(b.rig, b.process, opt);
     opt.batch = false;
     const CampaignResult scalar = run_campaign(b.rig, b.process, opt);
@@ -484,9 +548,9 @@ TEST(SeuBatch, ScalarJournalResumesIntoBatchedCampaign) {
   CampaignOptions opt;
   opt.samples = 80;
   opt.seed = 23;
-  opt.workers = 1;
+  opt.run.jobs = 1;
   opt.batch = false;
-  opt.journal_path = journal;
+  opt.run.journal_path = journal;
   const CampaignResult scalar = run_campaign(b.rig, b.process, opt);
   const std::string want = format_campaign_report(scalar, b.design.config);
 
@@ -503,10 +567,10 @@ TEST(SeuBatch, ScalarJournalResumesIntoBatchedCampaign) {
   }
 
   opt.batch = true;
-  opt.resume = true;
+  opt.run.resume = true;
   const CampaignResult resumed = run_campaign(b.rig, b.process, opt);
-  EXPECT_EQ(resumed.resumed, 30);
-  EXPECT_EQ(resumed.computed, 50);
+  EXPECT_EQ(resumed.provenance.resumed, 30);
+  EXPECT_EQ(resumed.provenance.computed, 50);
   EXPECT_EQ(format_campaign_report(resumed, b.design.config), want);
   std::remove(journal.c_str());
 }

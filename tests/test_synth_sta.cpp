@@ -138,8 +138,12 @@ TEST(Synth, SizingUpsLoadedGates) {
 }
 
 TEST(Synth, StemAndPinHelpers) {
-  EXPECT_EQ(synth::cell_stem("NAND2_X4"), "NAND2");
-  EXPECT_EQ(synth::cell_stem("brick_sram8t_16x10"), "brick_sram8t_16x10");
+  Ctx ctx;
+  ASSERT_NE(ctx.cells.find("NAND2_X4"), nullptr);
+  EXPECT_EQ(ctx.cells.find("NAND2_X4")->func, tech::CellFunc::kNand2);
+  EXPECT_EQ(ctx.cells.find("brick_sram8t_16x10"), nullptr);
+  EXPECT_EQ(ctx.cells.find("NAND2_X3"), nullptr);  // no such drive
+  EXPECT_EQ(ctx.cells.find("TIE0_X1")->func, tech::CellFunc::kTie0);
 }
 
 TEST(Sta, RegisteredAdderHasPlausibleFmax) {

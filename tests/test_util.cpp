@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -448,6 +449,99 @@ TEST(JournalText, CompleteFileHasNoTornTail) {
   EXPECT_FALSE(text.torn_tail);
   EXPECT_FALSE(jsonl::read_journal_text(fs_temp("journal_missing.jsonl"),
                                         &text));
+  std::remove(path.c_str());
+}
+
+TEST(JournaledRun, JournalsInSlotOrderAndResumesTheLastLinePerKey) {
+  const std::string path = fs_temp("journaled_run.jsonl");
+  std::remove(path.c_str());
+  const std::vector<std::string> keys = {"a", "b", "c", "d", "e"};
+  // Lines are "key=value"; a slot's value is 10 * its index.
+  const auto parse = [](const std::string& line, std::string* key, int* v) {
+    const std::size_t eq = line.find('=');
+    if (eq == std::string::npos) return false;
+    *key = line.substr(0, eq);
+    *v = std::stoi(line.substr(eq + 1));
+    return true;
+  };
+  const auto format = [](const std::string& key, int v) {
+    return key + "=" + std::to_string(v) + "\n";
+  };
+  // Two units, the later slots first, so a worker finishes them early.
+  const auto plan = [](const std::vector<std::size_t>& todo) {
+    std::vector<std::vector<std::size_t>> units(1);
+    for (const std::size_t i : todo) {
+      if (i >= 3) units.push_back({i});
+      else units.front().push_back(i);
+    }
+    std::reverse(units.begin(), units.end());
+    return units;
+  };
+  const auto run = [](const std::vector<std::size_t>& unit) {
+    std::vector<int> out;
+    for (const std::size_t i : unit) out.push_back(10 * static_cast<int>(i));
+    return out;
+  };
+  jsonl::RunOptions opt;
+  opt.journal_path = path;
+  opt.jobs = 4;
+  const auto first =
+      jsonl::run_journaled<int>("test", opt, keys, parse, format, plan, run);
+  EXPECT_EQ(first.records, (std::vector<int>{0, 10, 20, 30, 40}));
+  EXPECT_EQ(first.provenance.computed, 5);
+  const std::string want = "a=0\nb=10\nc=20\nd=30\ne=40\n";
+  std::string text;
+  ASSERT_TRUE(fs::Fs::real().read_file(path, &text).ok());
+  EXPECT_EQ(text, want);
+
+  // Append a corrupt line, a stale key and a newer line for "b": resume
+  // takes the last line per key and journals nothing new.
+  {
+    std::ofstream out(path, std::ios::app | std::ios::binary);
+    out << "garbage\nz=1\nb=11\n";
+  }
+  opt.resume = true;
+  const auto resumed =
+      jsonl::run_journaled<int>("test", opt, keys, parse, format, plan, run);
+  EXPECT_EQ(resumed.records, (std::vector<int>{0, 11, 20, 30, 40}));
+  EXPECT_EQ(resumed.provenance.resumed, 5);
+  EXPECT_EQ(resumed.provenance.computed, 0);
+  EXPECT_EQ(resumed.provenance.malformed, 1);
+  EXPECT_EQ(resumed.provenance.stale, 1);
+  ASSERT_TRUE(fs::Fs::real().read_file(path, &text).ok());
+  EXPECT_EQ(text, want + "garbage\nz=1\nb=11\n");
+  std::remove(path.c_str());
+}
+
+TEST(JournaledRun, StopKeepsOnlyTheJournaledPrefix) {
+  const std::string path = fs_temp("journaled_stop.jsonl");
+  std::remove(path.c_str());
+  const std::vector<std::string> keys = {"a", "b", "c"};
+  const auto parse = [](const std::string&, std::string*, int*) {
+    return false;
+  };
+  const auto format = [](const std::string& key, int) { return key + "\n"; };
+  // Slot "a" is claimed last: when the cancel flag is raised after the
+  // first unit, slots b and c are done but not journaled.
+  const auto plan = [](const std::vector<std::size_t>&) {
+    return std::vector<std::vector<std::size_t>>{{1, 2}, {0}};
+  };
+  std::atomic<bool> cancel{false};
+  const auto run = [&](const std::vector<std::size_t>& unit) {
+    cancel.store(true);
+    return std::vector<int>(unit.size(), 7);
+  };
+  jsonl::RunOptions opt;
+  opt.journal_path = path;
+  opt.cancel = &cancel;
+  const auto cut =
+      jsonl::run_journaled<int>("test", opt, keys, parse, format, plan, run);
+  EXPECT_TRUE(cut.provenance.interrupted);
+  EXPECT_TRUE(cut.records.empty());
+  EXPECT_EQ(cut.provenance.computed, 0);
+  std::string text;
+  ASSERT_TRUE(fs::Fs::real().read_file(path, &text).ok());
+  EXPECT_EQ(text, "");
   std::remove(path.c_str());
 }
 

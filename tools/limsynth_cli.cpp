@@ -124,15 +124,35 @@ std::vector<lim::PartitionChoice> partition_choices(int words, int bits) {
 }
 
 /// --journal FILE and --resume FILE (which resumes from FILE and, without
-/// --journal, keeps journaling to it) into a DSE or SEU options struct.
-template <class Options>
-void read_journal_flags(const args::Args& a, Options& opt) {
+/// --journal, keeps journaling to it) into a DSE sweep's or SEU campaign's
+/// executor options.
+void read_journal_flags(const args::Args& a, jsonl::RunOptions& opt) {
   opt.journal_path = a.get_string("--journal");
   const std::string resume_path = a.get_string("--resume");
   if (!resume_path.empty()) {
     opt.resume = true;
     if (opt.journal_path.empty()) opt.journal_path = resume_path;
   }
+}
+
+/// Exit code of a journaled run (`dse`, `seu`): 0 when it finished, else
+/// the interrupted or resource-exhausted code, after a note on stderr.
+int stop_exit_code(const jsonl::Provenance& prov, const jsonl::RunOptions& opt,
+                   std::size_t done, std::size_t total, const char* what) {
+  if (!prov.interrupted && !prov.timed_out) return 0;
+  const std::string journal =
+      opt.journal_path.empty() ? "<journal>" : opt.journal_path;
+  if (prov.interrupted)
+    std::fprintf(stderr,
+                 "# interrupted with %zu/%zu %s done; journal is intact",
+                 done, total, what);
+  else
+    std::fprintf(stderr, "# timed out after %.3g s with %zu/%zu %s done",
+                 opt.timeout_seconds, done, total, what);
+  std::fprintf(stderr, ", rerun with --resume %s to finish\n",
+               journal.c_str());
+  return exit_code_for(prov.interrupted ? ErrorCode::kInterrupted
+                                        : ErrorCode::kResourceExhausted);
 }
 
 int cmd_brick(const args::Args& a) {
@@ -188,8 +208,9 @@ int cmd_brick(const args::Args& a) {
 int cmd_sweep(const args::Args& a) {
   const int bits = a.get_int("bits");
   const tech::Process process = tech::default_process();
-  const auto points = lim::sweep_partitions(
-      partition_choices(a.get_int("words"), bits), process);
+  const std::vector<lim::DsePoint> points =
+      lim::sweep_partitions_checkpointed(
+          partition_choices(a.get_int("words"), bits), process).points;
   const auto front = lim::pareto_front(points);
   Table t({"brick", "stack", "delay", "energy", "area", "pareto"});
   for (std::size_t i = 0; i < points.size(); ++i) {
@@ -248,32 +269,16 @@ int cmd_dse(const args::Args& a) {
   int failed = 0;
   for (const auto& p : sweep.points)
     if (!p.ok) ++failed;
+  const jsonl::Provenance& prov = sweep.provenance;
   std::fprintf(stderr,
                "# dse %dx%d: %zu points (%d computed, %d resumed, %d failed;"
                " %d stale + %d corrupt journal entries%s)\n",
-               words, bits, sweep.points.size(), sweep.computed, sweep.resumed,
-               failed, sweep.stale, sweep.malformed,
-               sweep.torn_tail ? ", torn tail treated as unwritten" : "");
+               words, bits, sweep.points.size(), prov.computed, prov.resumed,
+               failed, prov.stale, prov.malformed,
+               prov.torn_tail ? ", torn tail treated as unwritten" : "");
   print_store_stats();
-  if (sweep.interrupted) {
-    std::fprintf(stderr,
-                 "# interrupted with %zu/%zu points done; journal is"
-                 " intact, rerun with --resume %s to finish\n",
-                 sweep.points.size(), choices.size(),
-                 copt.journal_path.empty() ? "<journal>"
-                                           : copt.journal_path.c_str());
-    return exit_code_for(ErrorCode::kInterrupted);
-  }
-  if (sweep.timed_out) {
-    std::fprintf(stderr,
-                 "# timed out after %.3g s with %zu/%zu points done; rerun"
-                 " with --resume %s to finish\n",
-                 copt.timeout_seconds, sweep.points.size(), choices.size(),
-                 copt.journal_path.empty() ? "<journal>"
-                                           : copt.journal_path.c_str());
-    return exit_code_for(ErrorCode::kResourceExhausted);
-  }
-  return 0;
+  return stop_exit_code(prov, copt, sweep.points.size(), choices.size(),
+                        "points");
 }
 
 int cmd_sram(const args::Args& a) {
@@ -502,25 +507,26 @@ int cmd_seu(const args::Args& a) {
   seu::CampaignOptions copt;
   copt.samples = a.get_int("--campaign", 1000);
   copt.seed = seed;
-  copt.workers = a.get_int("--workers", 1);
+  copt.run.jobs = a.get_int("--workers", 1);
   copt.burst = a.get_int("--burst", 1);
-  copt.timeout_seconds = a.get_double("--timeout", 0.0);
+  copt.run.timeout_seconds = a.get_double("--timeout", 0.0);
   copt.batch = !a.has("--no-batch");
-  copt.cancel = &g_interrupted;
-  read_journal_flags(a, copt);
+  copt.run.cancel = &g_interrupted;
+  read_journal_flags(a, copt.run);
 
   const seu::CampaignResult res = seu::run_campaign(rig, process, copt);
   // Provenance goes to stderr so the report itself stays byte-identical
   // between an uninterrupted run and a kill-and-resume (and between the
   // batched and scalar kernels).
+  const jsonl::Provenance& prov = res.provenance;
   std::fprintf(stderr, "# seu kernel: %s (%d of %d samples batched)\n",
-               res.kernel.c_str(), res.batched, res.computed);
+               res.kernel.c_str(), res.batched, prov.computed);
   std::fprintf(stderr, "# seu campaign %s: %d computed, %d resumed",
-               res.key.c_str(), res.computed, res.resumed);
-  if (res.malformed || res.stale)
+               res.key.c_str(), prov.computed, prov.resumed);
+  if (prov.malformed || prov.stale)
     std::fprintf(stderr, "; journal: %d corrupt, %d stale line(s) skipped",
-                 res.malformed, res.stale);
-  if (res.torn_tail)
+                 prov.malformed, prov.stale);
+  if (prov.torn_tail)
     std::fputs("; torn tail treated as unwritten", stderr);
   std::fputc('\n', stderr);
   const std::string report = seu::format_campaign_report(res, cfg);
@@ -532,16 +538,9 @@ int cmd_seu(const args::Args& a) {
     out << report;
   }
   std::fputs(report.c_str(), stdout);
-  if (res.interrupted) {
-    std::fprintf(stderr,
-                 "# interrupted with %d/%d samples done; journal is intact,"
-                 " rerun with --resume to finish\n",
-                 res.completed, res.samples);
-    return exit_code_for(ErrorCode::kInterrupted);
-  }
-  if (!res.complete())
-    return exit_code_for(ErrorCode::kResourceExhausted);
-  return 0;
+  return stop_exit_code(prov, copt.run,
+                        static_cast<std::size_t>(res.completed),
+                        static_cast<std::size_t>(res.samples), "samples");
 }
 
 int cmd_optimize(const args::Args& a) {

@@ -19,7 +19,7 @@
 #include "brick/estimator.hpp"
 #include "brick/golden.hpp"
 #include "layout/checker.hpp"
-#include "lim/dse.hpp"
+#include "lim/checkpoint.hpp"
 #include "lim/flow.hpp"
 #include "spgemm/generate.hpp"
 #include "spgemm/reference.hpp"
@@ -271,7 +271,7 @@ Plan fig4c(const Inputs& in, std::uint64_t /*seed*/) {
       for (int brick_words : {16, 32, 64})
         choices.push_back({128, bits, brick_words, tech::BitcellKind::kSram8T});
     const auto t0 = std::chrono::steady_clock::now();
-    st.points = lim::sweep_partitions(choices, in.process);
+    st.points = lim::sweep_partitions_checkpointed(choices, in.process).points;
     st.wall = seconds_since(t0);
   });
   plan.finish = [st](Sheet& s) {
