@@ -284,23 +284,8 @@ CampaignResult run_campaign(const SeuRig& rig, const tech::Process& process,
   res.key = campaign_key(rig, plan, opt);
   res.records.assign(static_cast<std::size_t>(opt.samples), SampleRecord{});
 
-  const GoldenRun golden = run_golden(rig);
-
-  // Batch kernel: bind once, share const across workers. Designs the
-  // bit-plane kernel cannot express (or --no-batch) leave every sample on
-  // the scalar event engine; the choice is recorded as provenance only
-  // and never fingerprinted, so reports and journals stay interoperable.
+  GoldenRun golden;
   std::unique_ptr<BatchKernel> kernel;
-  if (!opt.batch) {
-    res.kernel = "scalar (disabled)";
-  } else {
-    try {
-      kernel = std::make_unique<BatchKernel>(rig);
-      res.kernel = "bitplane";
-    } catch (const Error& e) {
-      res.kernel = std::string("scalar (") + error_code_name(e.code()) + ")";
-    }
-  }
 
   const auto n = static_cast<std::size_t>(opt.samples);
   std::vector<std::string> keys;
@@ -316,8 +301,27 @@ CampaignResult run_campaign(const SeuRig& rig, const tech::Process& process,
   // bit-plane pass (strata are contiguous in sample order, so groups stay
   // dense); SET samples — pulse-width physics — and kernel-less campaigns
   // run as scalar singletons. Workers claim whole units; the executor
-  // still journals their samples in sample order.
+  // still journals their samples in sample order. The executor plans only
+  // after it has opened the journal, so the golden replay and the kernel
+  // bind below never run for a journal that cannot be written.
   const auto plan_units = [&](const std::vector<std::size_t>& todo) {
+    golden = run_golden(rig);
+    // Batch kernel: bind once, share const across workers. Designs the
+    // bit-plane kernel cannot express (or --no-batch) leave every sample
+    // on the scalar event engine; the choice is recorded as provenance
+    // only and never fingerprinted, so reports and journals stay
+    // interoperable.
+    if (!opt.batch) {
+      res.kernel = "scalar (disabled)";
+    } else {
+      try {
+        kernel = std::make_unique<BatchKernel>(rig);
+        res.kernel = "bitplane";
+      } catch (const Error& e) {
+        res.kernel =
+            std::string("scalar (") + error_code_name(e.code()) + ")";
+      }
+    }
     std::vector<std::vector<std::size_t>> units;
     std::vector<std::size_t> group;
     for (const std::size_t i : todo) {

@@ -41,7 +41,7 @@ bool error_code_from_name(const std::string& name, ErrorCode* out);
 /// Process exit code for a failure of this class:
 ///   internal 1, invalid_config 2, non_convergence 3, numerical_fault 4,
 ///   resource_exhausted 5, io 6, stale_binding 7, interrupted 8.
-/// Exit code 9 is retired (it was the serve daemon's `quarantined`) and
+/// Exit code 9 is retired (it was the removed daemon's `quarantined`) and
 /// is never reused.
 int exit_code_for(ErrorCode code);
 

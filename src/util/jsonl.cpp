@@ -10,7 +10,6 @@ namespace limsynth::jsonl {
 bool read_journal_text(const std::string& path, JournalText* out) {
   out->lines.clear();
   out->torn_tail = false;
-  out->tail.clear();
   std::ifstream in(path, std::ios::binary);
   if (!in) return false;
   std::ostringstream buf;
@@ -23,7 +22,6 @@ bool read_journal_text(const std::string& path, JournalText* out) {
     if (nl == std::string::npos) {
       // No terminating newline: the final append was cut mid-write.
       out->torn_tail = true;
-      out->tail = data.substr(pos);
       break;
     }
     std::string line = data.substr(pos, nl - pos);

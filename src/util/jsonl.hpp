@@ -33,7 +33,6 @@ namespace limsynth::jsonl {
 struct JournalText {
   std::vector<std::string> lines;  ///< complete ('\n'-terminated) lines
   bool torn_tail = false;          ///< file ended mid-line (SIGKILL artifact)
-  std::string tail;                ///< the unterminated fragment, for logs
 };
 
 /// Reads `path` and splits it into complete lines ('\r' stripped, empty
@@ -117,7 +116,9 @@ struct Journaled {
 ///  - `parse(line, &key, &rec)` reads one journal line; false = malformed.
 ///  - `format(keys[i], rec)` renders slot i as one '\n'-terminated line.
 ///  - `plan(todo)` groups the slots still to compute (ascending) into work
-///    units, which the pool claims in order.
+///    units, which the pool claims in order. It is called once, after the
+///    journal is open, so setup work placed in it never runs for a
+///    journal that cannot be written.
 ///  - `run(unit)` computes one unit's records, in the unit's slot order.
 /// Finished slots are journaled strictly in slot order behind a cursor, so
 /// the journal bytes and the result do not depend on `jobs`. Throws

@@ -2,12 +2,15 @@
 // flow, design-space exploration, and the smart memories from §2.2.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 
 #include <sstream>
 
 #include <map>
+#include <thread>
 
+#include "brick/cache.hpp"
 #include "fault/defects.hpp"
 #include "fault/inject.hpp"
 #include "lim/brick_opt.hpp"
@@ -21,7 +24,9 @@
 #include "lim/smart_memory.hpp"
 #include "lim/sram_builder.hpp"
 #include "tech/process.hpp"
+#include "util/jsonl.hpp"
 #include "util/rng.hpp"
+#include "util/watchdog.hpp"
 
 namespace limsynth::lim {
 namespace {
@@ -747,6 +752,79 @@ TEST(MacroState, DefaultMacroModelExposesNoState) {
   EXPECT_EQ(model.state_bits(), 0);
   EXPECT_THROW(model.peek(0), Error);
   EXPECT_THROW(model.poke(0, 1), Error);
+}
+
+
+// The in-process characterization and analysis paths. These once sat
+// behind the characterization daemon's request handler; the daemon is
+// gone, the library calls it made stay, and so do the checks.
+
+TEST(Handler, CharacterizeReturnsPositiveMetrics) {
+  Ctx ctx;
+  brick::BrickSpec spec;
+  spec.words = 64;
+  spec.bits = 16;
+  const auto compiled = brick::BrickCache::global().get(spec, ctx.process);
+  const brick::BrickEstimate& e = compiled->estimate;
+  EXPECT_GT(e.read_delay, 0.0);
+  EXPECT_GT(e.write_energy, 0.0);
+  EXPECT_GT(e.min_cycle, 0.0);
+  EXPECT_GT(e.leakage, 0.0);
+  EXPECT_GT(e.bank_area, 0.0);
+  EXPECT_GT(compiled->brick.layout.area, 0.0);
+}
+
+TEST(Handler, AnalyzeRepliesWithTheLibraryFlowReport) {
+  // Two independent build + flow runs give the same report bit for bit,
+  // and its numbers survive the journals' %.17g text exactly.
+  Ctx ctx;
+  auto analyze = [&] {
+    SramConfig cfg;
+    cfg.words = 32;
+    cfg.bits = 8;
+    cfg.brick_words = 16;
+    SramDesign d = build_sram(cfg, ctx.process, ctx.cells);
+    FlowOptions fopt;
+    fopt.activity_cycles = 20;
+    fopt.stimulus_seed = 3;
+    return run_sram_flow(d, ctx.cells, ctx.process, fopt);
+  };
+  const FlowReport a = analyze();
+  const FlowReport b = analyze();
+  EXPECT_EQ(a.fmax, b.fmax);
+  EXPECT_EQ(a.area, b.area);
+  EXPECT_EQ(a.power.total(), b.power.total());
+  EXPECT_EQ(a.timing.critical_endpoint, b.timing.critical_endpoint);
+  EXPECT_GT(a.power.total(), 0.0);
+  const std::string line = "{\"fmax_hz\":" + jsonl::format_g17(a.fmax) +
+                           ",\"area_m2\":" + jsonl::format_g17(a.area) +
+                           ",\"power_w\":" +
+                           jsonl::format_g17(a.power.total()) + "}";
+  double v = 0.0;
+  ASSERT_TRUE(jsonl::read_double(line, jsonl::find_field(line, "fmax_hz"), &v));
+  EXPECT_EQ(v, a.fmax);
+  ASSERT_TRUE(jsonl::read_double(line, jsonl::find_field(line, "area_m2"), &v));
+  EXPECT_EQ(v, a.area);
+  ASSERT_TRUE(jsonl::read_double(line, jsonl::find_field(line, "power_w"), &v));
+  EXPECT_EQ(v, a.power.total());
+}
+
+TEST(Handler, SleepDeadlineIsResourceExhausted) {
+  // A cooperative wait polling its watchdog, as the executors poll between
+  // points: an 80 ms budget preempts a 30 s wait with resource_exhausted.
+  const auto t0 = std::chrono::steady_clock::now();
+  const Watchdog wd("sleep", 0.080);
+  ErrorCode code = ErrorCode::kInternal;
+  try {
+    while (std::chrono::steady_clock::now() - t0 < std::chrono::seconds(30)) {
+      wd.check();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  } catch (const Error& e) {
+    code = e.code();
+  }
+  EXPECT_EQ(code, ErrorCode::kResourceExhausted);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
 }
 
 }  // namespace

@@ -428,6 +428,19 @@ TEST(SeuCampaign, RejectsImpossibleOptions) {
   }
 }
 
+TEST(SeuCampaign, ThrowsIoWhenJournalUnwritable) {
+  RigBundle b(config_a(false), 8);
+  CampaignOptions opt;
+  opt.samples = 10;
+  opt.run.journal_path = testing::TempDir() + "no_such_dir/journal.jsonl";
+  try {
+    run_campaign(b.rig, b.process, opt);
+    FAIL() << "expected throw";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kIo);
+  }
+}
+
 TEST(SeuCampaign, SecdedShiftsSdcToCorrectedWithConfidence) {
   // The ISSUE's Fig. 4b acceptance check, scaled to test runtime: on
   // configuration C the SECDED build must show strictly lower SDC than

@@ -10,8 +10,8 @@ Configure a coverage build, then run this from the repository root:
   tools/coverage_audit.py build-cov
 
 It clears the counters, runs the shipped paths (`limsynth repro --check`,
-every `limsynth` subcommand including serve/call, the examples and the
-executor benches' --check runs) in a scratch directory under the build
+every `limsynth` subcommand, the examples and the executor benches'
+--check runs) in a scratch directory under the build
 tree, snapshots the counters, runs tier-1 (ctest) and snapshots again.
 A function is one source location in src/: all template instantiations
 and inline copies of it count once, whichever target compiled them, and
@@ -27,7 +27,6 @@ import os
 import shutil
 import subprocess
 import sys
-import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src") + os.sep
@@ -59,18 +58,9 @@ CLI = [
 ]
 STIMULUS = "cycle 0\nset wen 1\nbus wdata 0x2a\ncycle 3\nset wen 0\n"
 
-CALLS = [
-    '{"op":"ping","id":"p"}',
-    '{"op":"characterize","id":"c","words":64,"bits":8}',
-    '{"op":"characterize","kind":"bogus","words":64,"bits":8}',
-    '{"op":"analyze","id":"a","words":64,"bits":10,"brick_words":16}',
-    '{"op":"dse_point","id":"d","words":64,"bits":10,"brick_words":16}',
-    '{"op":"stats","id":"s"}', '{"op":"sleep","id":"z","sleep_ms":5}',
-    '{"op":"batch","id":"b","items":"{\\"op\\":\\"ping\\"}\\nnot json"}',
-]
 EXAMPLES = ["quickstart", "sram_design_space", "spgemm_accelerator",
             "parallel_access_memory", "interpolation_memory"]
-BENCHES = ["bench_dse", "bench_seu", "bench_yield", "bench_serve"]
+BENCHES = ["bench_dse", "bench_seu", "bench_yield"]
 
 
 def run(cmd, cwd):
@@ -88,26 +78,6 @@ def run_shipped(build):
         f.write(STIMULUS)
     for args in CLI:
         run([cli] + args.split(), work)
-    server = subprocess.Popen(
-        [cli, "serve", "--socket", "s.sock", "--workers", "2",
-         "--cache-dir", "store"], cwd=work, stderr=subprocess.DEVNULL)
-    for _ in range(100):
-        if os.path.exists(os.path.join(work, "s.sock")):
-            break
-        time.sleep(0.1)
-    for frame in CALLS:
-        run([cli, "call", "--socket", "s.sock", "--json", frame,
-             "--max-retries", "2"], work)
-    run([cli, "call", "--socket", "s.sock", "--torn", "--json",
-         '{"op":"ping"}'], work)
-    server.terminate()
-    server.wait()
-    server = subprocess.Popen([cli, "serve", "--port", "47931"], cwd=work,
-                              stderr=subprocess.DEVNULL)
-    time.sleep(1)
-    run([cli, "call", "--port", "47931", "--json", CALLS[0]], work)
-    server.terminate()
-    server.wait()
     for name in EXAMPLES:
         run([os.path.join(build, "examples", name)], work)
     for name in BENCHES:

@@ -3,8 +3,6 @@
 // prints them as the usage text) before any work starts; a bad flag,
 // value or positional exits 2, invalid_config. Exit codes follow the
 // error taxonomy (util/error.hpp, README).
-#include <unistd.h>
-
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -28,8 +26,6 @@
 #include "lim/yield.hpp"
 #include "evsim/stimulus.hpp"
 #include "netlist/verilog.hpp"
-#include "serve/client.hpp"
-#include "serve/server.hpp"
 #include "seu/campaign.hpp"
 #include "spgemm/generate.hpp"
 #include "synth/synth.hpp"
@@ -632,135 +628,6 @@ int cmd_yield(const args::Args& a) {
   return 0;
 }
 
-serve::Endpoint parse_endpoint(const args::Args& a) {
-  serve::Endpoint ep;
-  ep.socket_path = a.get_string("--socket");
-  ep.port = a.get_int("--port", 0);
-  LIMS_CHECK_MSG(!ep.socket_path.empty() || ep.port > 0,
-                 "serve/call need --socket PATH or --port N");
-  return ep;
-}
-
-// Long-running characterization daemon: bound libraries and the two-tier
-// brick cache stay resident; concurrent clients get framed JSON replies.
-// Runs until SIGINT/SIGTERM, then drains gracefully and exits 8.
-int cmd_serve(const args::Args& a) {
-  install_interrupt_handlers();
-  const serve::Endpoint ep = parse_endpoint(a);
-
-  serve::ServeOptions sopt;
-  sopt.workers = a.get_int("--workers", 4);
-  sopt.queue_depth = a.get_int("--queue", 8);
-  sopt.request_deadline_seconds =
-      a.get_double("--deadline-ms", 30000.0) / 1000.0;
-  sopt.idle_timeout_ms = a.get_int("--idle-ms", 30000);
-  sopt.frame_timeout_ms = a.get_int("--frame-ms", 2000);
-  sopt.shutdown = &g_interrupted;
-  LIMS_CHECK_MSG(sopt.workers >= 1 && sopt.queue_depth >= 1,
-                 "--workers and --queue must be >= 1");
-
-  // Resident state shared by every request (the MemSPICE split: build
-  // once, answer queries fast).
-  const tech::Process process = tech::default_process();
-  const tech::StdCellLib cells(process);
-  serve::HandlerContext ctx;
-  ctx.process = &process;
-  ctx.cells = &cells;
-
-  std::string lerr;
-  const auto listener = serve::Transport::real().listen(ep, &lerr);
-  if (!listener) throw Error(ErrorCode::kIo, "cannot listen: " + lerr);
-  std::fprintf(stderr, "# serve listening on %s (workers=%d queue=%d)\n",
-               listener->address().c_str(), sopt.workers, sopt.queue_depth);
-
-  serve::Server server(*listener, ctx, sopt);
-  server.run();
-
-  const serve::ServeStats s = server.stats();
-  std::fprintf(stderr,
-               "# serve drained: accepted=%llu shed=%llu closed=%llu"
-               " drained=%llu requests=%llu ok=%llu error=%llu"
-               " deadline=%llu batches=%llu batch_items=%llu"
-               " protocol=%llu disconnects=%llu slow_loris=%llu\n",
-               static_cast<unsigned long long>(s.accepted),
-               static_cast<unsigned long long>(s.shed),
-               static_cast<unsigned long long>(s.closed),
-               static_cast<unsigned long long>(s.drained),
-               static_cast<unsigned long long>(s.requests),
-               static_cast<unsigned long long>(s.replies_ok),
-               static_cast<unsigned long long>(s.replies_error),
-               static_cast<unsigned long long>(s.deadline_exceeded),
-               static_cast<unsigned long long>(s.batches),
-               static_cast<unsigned long long>(s.batch_items),
-               static_cast<unsigned long long>(s.protocol_errors),
-               static_cast<unsigned long long>(s.disconnects),
-               static_cast<unsigned long long>(s.slow_loris));
-  print_store_stats();
-  // run() only returns on the drain path, so the exit is the stable
-  // interrupted code — scripts treat it exactly like an interrupted dse.
-  return exit_code_for(ErrorCode::kInterrupted);
-}
-
-// One-shot client: sends a framed JSON request, prints the raw JSON
-// reply, and maps the reply's taxonomy code onto the usual exit codes
-// (shed replies land on resource_exhausted, 5). --torn sends half a
-// frame and hangs up — the CI smoke's misbehaving client.
-int cmd_call(const args::Args& a) {
-  const serve::Endpoint ep = parse_endpoint(a);
-  const std::string json = a.get_string("--json");
-  const int timeout_ms = a.get_int("--timeout-ms", 30000);
-  const int repeat = a.get_int("--repeat", 1);
-  LIMS_CHECK_MSG(!json.empty() || a.has("--torn"),
-                 "call needs --json '{...}' (or --torn)");
-
-  if (a.has("--torn")) {
-    // A client that dies mid-request: deliver half the frame, vanish.
-    serve::Client client(serve::Transport::real(), ep, timeout_ms);
-    if (!client.connected())
-      throw Error(ErrorCode::kIo, "cannot connect to " + ep.str());
-    const std::string wire =
-        serve::encode_frame(json.empty() ? std::string(64, 'x') : json);
-    auto conn = client.release();
-    conn->write_some(wire.data(), wire.size() / 2, timeout_ms);
-    conn->close();
-    std::fprintf(stderr, "# sent %zu of %zu bytes, then disconnected\n",
-                 wire.size() / 2, wire.size());
-    return 0;
-  }
-
-  serve::RetryPolicy policy;
-  policy.max_retries = a.get_int("--max-retries", 0);
-  policy.jitter_seed = static_cast<std::uint64_t>(::getpid());
-
-  int last = 0;
-  for (int i = 0; i < repeat; ++i) {
-    serve::Client client(serve::Transport::real(), ep, timeout_ms);
-    if (!client.connected())
-      throw Error(ErrorCode::kIo, "cannot connect to " + ep.str());
-    // Shed replies (retry_after_ms present) are retried with capped
-    // jittered backoff; the shed taxonomy exit happens only once the
-    // retry budget is spent.
-    const serve::RetryResult rr = client.call_retry(json, policy, timeout_ms);
-    const serve::CallResult& res = rr.last;
-    if (rr.attempts > 1)
-      std::fprintf(stderr, "# call: %d attempts, %d ms total backoff\n",
-                   rr.attempts, rr.total_backoff_ms);
-    if (!res.transport_ok)
-      throw Error(ErrorCode::kIo,
-                  std::string("no reply (write ") +
-                      serve::tx_err_name(res.write_err) + ", read " +
-                      serve::frame_status_name(res.read_status) + ")");
-    std::printf("%s\n", res.payload.c_str());
-    if (res.reply_parsed && !res.fields.ok) {
-      ErrorCode code = ErrorCode::kInternal;
-      error_code_from_name(res.fields.error_code, &code);
-      last = exit_code_for(code);
-    }
-    client.close();
-  }
-  return last;
-}
-
 int cmd_repro(const args::Args& a) { return run_repro(a.has("--check")); }
 
 struct Subcommand {
@@ -813,17 +680,6 @@ const Subcommand kSubcommands[] = {
                       {"--spares", kInt, "N"}, {"--ecc"},
                       {"--verify-cycles", kInt, "N"}, {"--no-batch"}})},
      cmd_yield},
-    {{"serve",
-      {{"--socket", kString, "PATH"}, {"--port", kInt, "N"},
-       {"--workers", kInt, "N"}, {"--queue", kInt, "N"},
-       {"--deadline-ms", kDouble, "MS"}, {"--idle-ms", kInt, "MS"},
-       {"--frame-ms", kInt, "MS"}}},
-     cmd_serve},
-    {{"call",
-      {{"--socket", kString, "PATH"}, {"--port", kInt, "N"},
-       {"--json", kString, "JSON"}, {"--torn"}, {"--timeout-ms", kInt, "MS"},
-       {"--repeat", kInt, "N"}, {"--max-retries", kInt, "N"}}},
-     cmd_call},
     {{"repro", {{"--check"}}}, cmd_repro},
 };
 
