@@ -10,14 +10,12 @@
 // stratum's contribution and leave flop/SET strata as the residual.
 //
 // On top of the study, this bench validates and measures the bit-plane
-// batch kernel (src/bitsim/): the batched campaign report must be
-// byte-identical to the scalar event-engine path, a 63-samples-per-pass
-// micro-benchmark quantifies the classification speedup over per-sample
-// event replay, and a thread-scaling sweep records campaign throughput
-// per worker count. Writes seu_resilience.csv and BENCH_seu.json; with
-// --check, exits nonzero when equivalence or the batched speedup
-// regresses. --no-batch forces the scalar kernel in the campaigns (the
-// same escape hatch `limsynth seu` takes).
+// batch kernel (src/bitsim/): a 63-samples-per-pass micro-benchmark
+// quantifies the classification speedup over per-sample event replay,
+// and every sample both kernels classify there must get the same
+// outcome; a thread-scaling sweep records campaign throughput per worker
+// count. Writes seu_resilience.csv and BENCH_seu.json; with --check,
+// exits nonzero when equivalence or the batched speedup regresses.
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -93,14 +91,10 @@ std::vector<seu::InjectionSpec> make_macro_specs(const lim::SramConfig& cfg,
 
 int main(int argc, char** argv) {
   const args::Args a = args::parse_or_exit(
-      {"bench_seu",
-       {{"--seed", args::Type::kU64, "N"},
-        {"--check"},
-        {"--no-batch"}}},
-      argc, argv);
+      {"bench_seu", {{"--seed", args::Type::kU64, "N"}, {"--check"}}}, argc,
+      argv);
   const std::uint64_t seed = a.get_u64("--seed", 20150608);
   const bool check = a.has("--check");
-  const bool batch = !a.has("--no-batch");
   const int kSamples = 600;
   const int kCycles = 40;
 
@@ -132,7 +126,6 @@ int main(int argc, char** argv) {
     opt.samples = kSamples;
     opt.seed = seed;
     opt.run.jobs = 4;
-    opt.batch = batch;
     const auto t0 = std::chrono::steady_clock::now();
     const seu::CampaignResult res =
         seu::run_campaign(rig.rig, rig.process, opt);
@@ -172,31 +165,10 @@ int main(int argc, char** argv) {
                     : "n/a")
             << " reduction); wrote seu_resilience.csv\n";
 
-  // --- batched vs scalar report equivalence ---------------------------
-  // The same campaign run through both kernels must emit byte-identical
-  // reports (the bit-plane lanes reproduce event-engine classifications).
-  const lim::SramConfig& eq_cfg = cases[2].cfg;
-  Rig eq_rig(eq_cfg, kCycles, seed);
-  seu::CampaignOptions eq_opt;
-  eq_opt.samples = 300;
-  eq_opt.seed = seed;
-  eq_opt.run.jobs = 2;
-  eq_opt.batch = true;
-  const seu::CampaignResult eq_batched =
-      seu::run_campaign(eq_rig.rig, eq_rig.process, eq_opt);
-  eq_opt.batch = false;
-  const seu::CampaignResult eq_scalar =
-      seu::run_campaign(eq_rig.rig, eq_rig.process, eq_opt);
-  const bool reports_identical =
-      seu::format_campaign_report(eq_batched, eq_cfg) ==
-      seu::format_campaign_report(eq_scalar, eq_cfg);
-  std::printf("\nequivalence: batched (%d/%d batched) vs scalar reports %s\n",
-              eq_batched.batched, eq_batched.provenance.computed,
-              reports_identical ? "identical" : "DIFFER");
-
-  // --- kernel micro-benchmark -----------------------------------------
+  // --- kernel micro-benchmark and equivalence --------------------------
   // Classification throughput on the macro stratum: per-sample event
-  // replay vs 63 samples per bit-plane pass over the same specs.
+  // replay vs 63 samples per bit-plane pass over the same specs. Every
+  // spec both kernels classify must get the same outcome and latency.
   Rig k_rig(cases[1].cfg, kCycles, seed);
   const seu::GoldenRun golden = seu::run_golden(k_rig.rig);
   seu::BatchKernel kernel(k_rig.rig);
@@ -205,23 +177,35 @@ int main(int argc, char** argv) {
   const std::vector<seu::InjectionSpec> specs = make_macro_specs(
       cases[1].cfg, kCycles, kBatchGroups * seu::kBatchSamples, seed + 1);
 
+  std::vector<seu::InjectionResult> scalar_runs;
   const auto ts = std::chrono::steady_clock::now();
   for (int i = 0; i < kScalarSpecs; ++i)
-    (void)seu::run_injection(k_rig.rig, golden,
-                             specs[static_cast<std::size_t>(i)]);
+    scalar_runs.push_back(seu::run_injection(
+        k_rig.rig, golden, specs[static_cast<std::size_t>(i)]));
   const double scalar_secs = seconds_since(ts);
 
+  std::vector<seu::InjectionResult> batch_runs;
   const auto tb = std::chrono::steady_clock::now();
-  int batch_classified = 0;
   for (int g = 0; g < kBatchGroups; ++g) {
     const auto first = specs.begin() + g * seu::kBatchSamples;
     const std::vector<seu::InjectionSpec> group(first,
                                                 first + seu::kBatchSamples);
-    batch_classified +=
-        static_cast<int>(seu::run_batch(k_rig.rig, kernel, golden, group)
-                             .size());
+    for (seu::InjectionResult& r :
+         seu::run_batch(k_rig.rig, kernel, golden, group))
+      batch_runs.push_back(std::move(r));
   }
   const double batch_secs = seconds_since(tb);
+  const int batch_classified = static_cast<int>(batch_runs.size());
+
+  int outcomes_differ = 0;
+  for (std::size_t i = 0; i < scalar_runs.size(); ++i)
+    if (batch_runs[i].outcome != scalar_runs[i].outcome ||
+        batch_runs[i].latent != scalar_runs[i].latent)
+      ++outcomes_differ;
+  const bool outcomes_identical = outcomes_differ == 0;
+  std::printf("\nequivalence: %d of %d specs classified differently by the"
+              " bit-plane kernel and the scalar replay\n",
+              outcomes_differ, kScalarSpecs);
 
   const double scalar_rate =
       scalar_secs > 0.0 ? kScalarSpecs / scalar_secs : 0.0;
@@ -247,7 +231,6 @@ int main(int argc, char** argv) {
     opt.samples = 400;
     opt.seed = seed;
     opt.run.jobs = workers;
-    opt.batch = batch;
     const auto t0 = std::chrono::steady_clock::now();
     const seu::CampaignResult res =
         seu::run_campaign(s_rig.rig, s_rig.process, opt);
@@ -265,13 +248,12 @@ int main(int argc, char** argv) {
   json << "{\n"
        << "  \"samples\": " << kSamples << ",\n"
        << "  \"cycles\": " << kCycles << ",\n"
-       << "  \"batch\": " << (batch ? "true" : "false") << ",\n"
        << "  \"kernel\": \"" << kernel_used << "\",\n"
        << "  \"campaign_batched_samples\": " << total_batched << ",\n"
        << "  \"fit_visible_plain\": " << format_g17(fit_plain) << ",\n"
        << "  \"fit_visible_ecc\": " << format_g17(fit_ecc) << ",\n"
-       << "  \"reports_identical\": "
-       << (reports_identical ? "true" : "false") << ",\n"
+       << "  \"outcomes_identical\": "
+       << (outcomes_identical ? "true" : "false") << ",\n"
        << "  \"scalar_inj_per_s\": " << format_g17(scalar_rate) << ",\n"
        << "  \"batched_inj_per_s\": " << format_g17(batch_rate) << ",\n"
        << "  \"batched_speedup\": " << format_g17(kernel_speedup) << ",\n"
@@ -288,15 +270,17 @@ int main(int argc, char** argv) {
 
   if (check) {
     bool ok = true;
-    if (!reports_identical) {
+    if (!outcomes_identical) {
       std::fprintf(stderr,
-                   "FAIL: batched vs scalar campaign reports differ\n");
+                   "FAIL: bit-plane and scalar classifications differ on %d"
+                   " of %d specs\n",
+                   outcomes_differ, kScalarSpecs);
       ok = false;
     }
-    if (batch && eq_batched.batched == 0) {
+    if (total_batched == 0) {
       std::fprintf(stderr,
-                   "FAIL: batch kernel classified zero samples (%s)\n",
-                   eq_batched.kernel.c_str());
+                   "FAIL: batch kernel classified zero campaign samples (%s)\n",
+                   kernel_used.c_str());
       ok = false;
     }
     if (kernel_speedup < 10.0) {

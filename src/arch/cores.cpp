@@ -17,6 +17,10 @@ using spgemm::BlockTask;
 using spgemm::Entry;
 using spgemm::SparseMatrix;
 
+// Fraction of a LiM task's drain cycles hidden behind the next stripe's
+// compute (double-buffered CAM/scratchpad pair).
+constexpr double kDrainOverlap = 0.5;
+
 // Grows `v` to at least `n` elements; new ones are value-initialized.
 template <class T>
 void grow(std::vector<T>& v, std::size_t n) {
@@ -167,13 +171,11 @@ class Tiling {
 // On-chip buffer fill from the 3D DRAM stack, double-buffered against
 // compute. The chip runs tasks row block by row block, so the A block is
 // loaded by its first column stripe and reused across the others.
-std::int64_t task_load_cycles(const CoreConfig& cfg, std::int64_t nnz_b_stripe,
-                              const BlockTask& task,
+std::int64_t task_load_cycles(std::int64_t nnz_b_stripe, const BlockTask& task,
                               const BlockedColumns& a_block) {
   const auto nnz_a_block = static_cast<std::int64_t>(a_block.entries.size());
-  return dram_stream_cycles(cfg.dram, nnz_b_stripe) +
-         (task.col_stripe_index == 0 ? dram_stream_cycles(cfg.dram, nnz_a_block)
-                                     : 0);
+  return dram_stream_cycles(nnz_b_stripe) +
+         (task.col_stripe_index == 0 ? dram_stream_cycles(nnz_a_block) : 0);
 }
 
 // Sorts `v` ascending and returns its number of inversions: insertion sort
@@ -337,9 +339,9 @@ void lim_task(const CoreConfig& cfg, const BlockTask& task,
     }
   }
   drain = static_cast<std::int64_t>(static_cast<double>(drain) *
-                                    (1.0 - cfg.drain_overlap));
+                                    (1.0 - kDrainOverlap));
 
-  const std::int64_t load = task_load_cycles(cfg, nnz_b_stripe, task, a_block);
+  const std::int64_t load = task_load_cycles(nnz_b_stripe, task, a_block);
   st.load_cycles += load;
   st.cycles += std::max(compute, load) + drain;
   ++st.block_tasks;
@@ -368,9 +370,9 @@ struct HeapScratch {
 // number of inversions of its keys listed in push order. Push order sorts
 // elements by predecessor row (the previous row of the same list, -1 for a
 // list's head), then by list index.
-void heap_task(const SparseMatrix& b, const CoreConfig& cfg,
-               const BlockTask& task, const BlockedColumns& a_block,
-               std::size_t block_rows, const Tile& tile, CoreStats& st) {
+void heap_task(const SparseMatrix& b, const BlockTask& task,
+               const BlockedColumns& a_block, std::size_t block_rows,
+               const Tile& tile, CoreStats& st) {
   // Dies with the pool's worker thread at the end of the product.
   thread_local HeapScratch w;
   const std::size_t words = (block_rows + 63) / 64;
@@ -460,7 +462,7 @@ void heap_task(const SparseMatrix& b, const CoreConfig& cfg,
     compute += n_lists;       // FIFO reset
   }
 
-  const std::int64_t load = task_load_cycles(cfg, nnz_b_stripe, task, a_block);
+  const std::int64_t load = task_load_cycles(nnz_b_stripe, task, a_block);
   st.load_cycles += load;
   st.cycles += std::max(compute, load);
   ++st.block_tasks;
@@ -506,8 +508,8 @@ SparseMatrix heap_spgemm(const SparseMatrix& a, const SparseMatrix& b,
   return tiling.run(a.rows(), b.cols(), stats,
                     [&](const BlockTask& task, const BlockedColumns& a_block,
                         const Tile& tile, CoreStats& st) {
-                      heap_task(b, cfg, task, a_block, tiling.block_rows(),
-                                tile, st);
+                      heap_task(b, task, a_block, tiling.block_rows(), tile,
+                                st);
                     });
 }
 

@@ -35,11 +35,6 @@ namespace limsynth::arch {
 struct CoreConfig {
   spgemm::BlockingConfig blocking;  // 1024-row blocks x 32-column stripes
   int cam_entries = 16;             // horizontal CAM capacity
-  /// Fraction of drain cycles hidden behind the next stripe's compute
-  /// (double-buffered CAM/scratchpad pair).
-  double drain_overlap = 0.5;
-  /// 3D-stacked DRAM feeding the on-chip A/B buffers ([12]).
-  DramConfig dram;
 };
 
 struct CoreStats {

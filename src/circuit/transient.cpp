@@ -15,6 +15,9 @@ namespace limsynth::circuit {
 
 namespace {
 
+/// Step budget per attempt (settling + main phase), see TransientConfig.
+constexpr std::size_t kMaxSteps = 20'000'000;
+
 /// Smooth 0..1 turn-on of a MOS switch as a function of its overdrive,
 /// normalized to vdd. Centered near a 0.45*vdd threshold with a soft knee,
 /// approximating the effective-current behaviour of a short-channel device
@@ -522,11 +525,11 @@ TransientResult simulate(const Circuit& circuit, const TransientConfig& config) 
   double dt = dt0;
   for (int attempt = 0;; ++attempt, dt *= 0.5) {
     const double steps = (config.t_stop + config.dc_settle) / dt;
-    if (steps > static_cast<double>(config.max_steps))
+    if (steps > static_cast<double>(kMaxSteps))
       LIMS_FAIL(ErrorCode::kResourceExhausted,
                 "transient would take " << steps << " steps at dt " << dt
                                         << " s, over the budget of "
-                                        << config.max_steps);
+                                        << kMaxSteps);
     try {
       return simulate_once(circuit, config, dt);
     } catch (const NonFiniteVoltage& nf) {

@@ -37,10 +37,9 @@ struct TransientConfig {
   /// many retries; exhaustion raises Error(kNumericalFault) instead of
   /// silently propagating NaNs into delay/energy measurements.
   int max_dt_retries = 3;
-  /// Step budget per attempt (settling + main phase). A dt/t_stop pair
-  /// that would exceed it raises Error(kResourceExhausted) up front rather
-  /// than stalling the caller.
-  std::size_t max_steps = 20'000'000;
+  // Each attempt (settling + main phase) may take at most 20M steps: a
+  // dt/t_stop pair that would exceed it raises Error(kResourceExhausted)
+  // up front rather than stalling the caller.
 };
 
 class TransientResult {

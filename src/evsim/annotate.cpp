@@ -31,8 +31,7 @@ TimingAnnotation annotate_delays(const BoundDesign& bd,
 
   sta::NetLoadOptions load_opt;
   load_opt.floorplan = opt.floorplan;
-  load_opt.prelayout_cap_per_sink = opt.prelayout_cap_per_sink;
-  load_opt.output_load = opt.output_load;
+  load_opt.output_load = sta::kOutputLoad;
   const sta::NetLoads loads = sta::compute_net_loads(bd, load_opt);
 
   // Cell function per LibCellId, resolved once against the StdCellLib
@@ -62,7 +61,7 @@ TimingAnnotation annotate_delays(const BoundDesign& bd,
     if (opt.sta != nullptr && n < opt.sta->net_slew.size() &&
         n < opt.sta->net_arrival.size() && opt.sta->net_arrival[n] >= 0.0)
       return opt.sta->net_slew[n];
-    return opt.default_slew;
+    return sta::kDefaultSlew;
   };
   auto wire_of = [&](NetId net) {
     return loads.wire_delay[static_cast<std::size_t>(net)];
@@ -143,7 +142,7 @@ TimingAnnotation annotate_delays(const BoundDesign& bd,
         if (con == nullptr) continue;
         ann.endpoints.push_back(
             {nl.instance(id).name + "/" + bd.pin_name(c.pin), c.net,
-             to_fs(wire_of(c.net) + con->setup + opt.clock_uncertainty)});
+             to_fs(wire_of(c.net) + con->setup + sta::kClockUncertainty)});
       }
       continue;
     }
@@ -202,7 +201,7 @@ TimingAnnotation annotate_delays(const BoundDesign& bd,
   for (const auto& port : nl.ports()) {
     if (port.dir != netlist::PortDir::kOutput) continue;
     ann.endpoints.push_back(
-        {"PO " + port.name, port.net, to_fs(opt.clock_uncertainty)});
+        {"PO " + port.name, port.net, to_fs(sta::kClockUncertainty)});
   }
   return ann;
 }

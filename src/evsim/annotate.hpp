@@ -25,15 +25,12 @@ namespace limsynth::evsim {
 struct AnnotateOptions {
   /// Placement parasitics; nullptr = pre-placement fanout wire model.
   const place::Floorplan* floorplan = nullptr;
-  double prelayout_cap_per_sink = 1.0e-15;  // F
-  double output_load = 5e-15;               // F on primary outputs
   /// STA result over the same netlist: arc lookups then use the
   /// propagated per-net slews (the delays evsim replays are exactly the
-  /// ones STA summed). Without it, `default_slew` is used everywhere.
+  /// ones STA summed). Without it, sta::kDefaultSlew is used everywhere.
+  /// Output loads and the clock uncertainty folded into every endpoint's
+  /// setup window are STA's constants (sta/loads.hpp).
   const sta::StaResult* sta = nullptr;
-  double default_slew = 30e-12;  // s
-  /// Folded into every endpoint's setup window, as in StaOptions.
-  double clock_uncertainty = 15e-12;  // s
 };
 
 /// One combinational instance, inputs in pin order (A, B, C, D).

@@ -12,6 +12,10 @@ namespace {
 using netlist::InstId;
 using netlist::NetId;
 
+/// Slack added to setup windows before flagging a violation, absorbing
+/// the <=0.5 fs/arc integer rounding of the annotation (s).
+constexpr double kSetupGuard = 64e-15;
+
 /// Presents the event engine to unmodified netlist::MacroModels through
 /// the Simulator macro-port surface. The base class is constructed but
 /// never stepped; only the three virtual port methods are live.
@@ -51,7 +55,6 @@ EventSimulator::EventSimulator(const netlist::Netlist& nl,
   const std::size_t n_nets = nl.nets().size();
   const Logic init = opt_.x_init ? Logic::kX : Logic::k0;
   values_.assign(n_nets, init);
-  transport_last_.assign(n_nets, init);
   pending_.assign(n_nets, EventWheel::kNoHandle);
   toggle_counts_.assign(n_nets, 0);
   glitch_counts_.assign(n_nets, 0);
@@ -84,9 +87,7 @@ EventSimulator::EventSimulator(const netlist::Netlist& nl,
         .push_back(e);
   endpoint_violations_.assign(ann_.endpoints.size(), 0);
 
-  event_budget_ = opt_.max_events_per_cycle > 0
-                      ? opt_.max_events_per_cycle
-                      : 1000 * (ann_.gates.size() + ann_.flops.size() + 64);
+  event_budget_ = 1000 * (ann_.gates.size() + ann_.flops.size() + 64);
 
   adapter_ = std::make_unique<MacroPortAdapter>(*this, nl, cells);
   next_edge_ = period_fs_;
@@ -227,36 +228,27 @@ void EventSimulator::eval_and_schedule(std::uint32_t gate, std::uint8_t input,
 
 void EventSimulator::schedule_output(NetId net, Logic v, TimeFs te) {
   const auto n = static_cast<std::size_t>(net);
-  if (opt_.inertial) {
-    const EventWheel::Handle p = pending_[n];
-    if (p != EventWheel::kNoHandle) {
-      const Logic pv = wheel_.scheduled_value(p);
-      if (v == pv) {
-        // Re-affirmed target: the transition happens at the earliest
-        // sufficient cause.
-        if (te < wheel_.scheduled_time(p)) {
-          wheel_.cancel(p);
-          pending_[n] = wheel_.schedule(te, net, v);
-        }
-        return;
+  const EventWheel::Handle p = pending_[n];
+  if (p != EventWheel::kNoHandle) {
+    const Logic pv = wheel_.scheduled_value(p);
+    if (v == pv) {
+      // Re-affirmed target: the transition happens at the earliest
+      // sufficient cause.
+      if (te < wheel_.scheduled_time(p)) {
+        wheel_.cancel(p);
+        pending_[n] = wheel_.schedule(te, net, v);
       }
-      // Preempted before it could land: an inertially filtered pulse.
-      wheel_.cancel(p);
-      pending_[n] = EventWheel::kNoHandle;
-      if (net != nl_.clock()) ++glitch_.filtered;
-      if (v == values_[n]) return;  // swallowed entirely
-      pending_[n] = wheel_.schedule(te, net, v);
       return;
     }
-    if (v == values_[n]) return;
-    pending_[n] = wheel_.schedule(te, net, v);
-  } else {
-    // Transport delay: every determined transition lands; compare against
-    // the last scheduled target so pulse trains survive.
-    if (v == transport_last_[n]) return;
-    transport_last_[n] = v;
-    wheel_.schedule(te, net, v);
+    // Preempted before it could land: an inertially filtered pulse.
+    wheel_.cancel(p);
+    pending_[n] = EventWheel::kNoHandle;
+    if (net != nl_.clock()) ++glitch_.filtered;
+    if (v == values_[n]) return;  // swallowed entirely
+  } else if (v == values_[n]) {
+    return;
   }
+  pending_[n] = wheel_.schedule(te, net, v);
 }
 
 void EventSimulator::drain(TimeFs horizon, bool bounded) {
@@ -278,15 +270,14 @@ void EventSimulator::drain(TimeFs horizon, bool bounded) {
 }
 
 void EventSimulator::check_setup(TimeFs t_edge) {
-  const TimeFs guard = to_fs(opt_.setup_guard);
+  const TimeFs guard = to_fs(kSetupGuard);
   for (std::size_t e = 0; e < ann_.endpoints.size(); ++e) {
     const EndpointInfo& ep = ann_.endpoints[e];
     const auto n = static_cast<std::size_t>(ep.net);
     // Late data: still in flight at the capture edge, or settled inside
     // the setup window. The guard absorbs annotation rounding so a design
     // run exactly at STA's min_period reports clean.
-    const bool in_flight =
-        opt_.inertial && pending_[n] != EventWheel::kNoHandle;
+    const bool in_flight = pending_[n] != EventWheel::kNoHandle;
     const bool in_window = last_change_[n] + ep.window_fs > t_edge + guard;
     if (in_flight || in_window) {
       ++endpoint_violations_[e];

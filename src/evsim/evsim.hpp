@@ -39,22 +39,17 @@
 
 namespace limsynth::evsim {
 
+/// Delays are inertial: a gate output re-evaluation preempts its own
+/// pending event (short pulses are swallowed and counted as filtered
+/// glitches). A cycle may drain at most 1000 * (gates + flops + 64)
+/// events; exceeding that throws Error(kResourceExhausted) naming the net
+/// of the last event.
 struct EvsimOptions {
   /// Clock period in seconds; 0 selects quiesce mode (see header).
   double period = 0.0;
-  /// Inertial delay: a gate output re-evaluation preempts its own pending
-  /// event (short pulses are swallowed and counted as filtered glitches).
-  /// When false, transport delay: every scheduled transition lands.
-  bool inertial = true;
   /// Power-up state: X (hardware-honest) or 0 (settle-engine-equivalent,
   /// required by cross_check).
   bool x_init = true;
-  /// Slack added to setup windows before flagging a violation, absorbing
-  /// the <=0.5 fs/arc integer rounding of the annotation (s).
-  double setup_guard = 64e-15;
-  /// Event budget per cycle; 0 = automatic (1000 * gate count). Exceeding
-  /// it throws Error(kResourceExhausted) naming the hottest net.
-  std::uint64_t max_events_per_cycle = 0;
 };
 
 struct GlitchStats {
@@ -181,8 +176,7 @@ class EventSimulator {
   EventWheel wheel_;
   std::vector<Logic> values_;
   std::vector<std::vector<Fanin>> fanout_;  // net -> gate inputs it feeds
-  std::vector<EventWheel::Handle> pending_;  // inertial: 1 event max/net
-  std::vector<Logic> transport_last_;        // transport: last scheduled
+  std::vector<EventWheel::Handle> pending_;  // at most 1 event per net
 
   std::vector<Logic> flop_state_;            // parallel to ann_.flops
   std::map<netlist::InstId, std::size_t> flop_index_;

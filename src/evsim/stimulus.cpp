@@ -84,14 +84,13 @@ bool bounded_getline(std::istream& in, std::size_t cap, std::size_t line_no,
 
 }  // namespace
 
-StimulusTrace parse_stimulus(std::istream& in, const netlist::Netlist& nl,
-                             const StimulusParseOptions& options) {
+StimulusTrace parse_stimulus(std::istream& in, const netlist::Netlist& nl) {
   StimulusTrace trace;
   bool cycle_open = false;
   std::uint64_t cur_cycle = 0;
   std::string line;
   for (std::size_t line_no = 1;
-       bounded_getline(in, options.max_line_bytes, line_no, &line);
+       bounded_getline(in, kMaxStimulusLineBytes, line_no, &line);
        ++line_no) {
     const std::vector<std::string> tok = tokenize(line);
     if (tok.empty()) continue;
@@ -103,9 +102,9 @@ StimulusTrace parse_stimulus(std::istream& in, const netlist::Netlist& nl,
       std::uint64_t n = 0;
       if (!parse_u64(tok[1], &n))
         fail_at(line_no, "bad cycle number `" + tok[1] + "`");
-      if (n > options.max_cycle)
+      if (n > kMaxStimulusCycle)
         fail_at(line_no, "cycle " + tok[1] + " exceeds the limit of " +
-                             std::to_string(options.max_cycle));
+                             std::to_string(kMaxStimulusCycle));
       if (cycle_open && n <= cur_cycle)
         fail_at(line_no, "cycle numbers must strictly increase (" +
                              std::to_string(n) + " after " +
@@ -131,13 +130,13 @@ StimulusTrace parse_stimulus(std::istream& in, const netlist::Netlist& nl,
       if (tok.size() != 3) fail_at(line_no, "expected `bus <base> <value>`");
       if (!cycle_open) fail_at(line_no, "`bus` before the first `cycle`");
       std::vector<netlist::NetId> bus;
-      for (std::size_t i = 0; i <= options.max_bus_bits; ++i) {
+      for (std::size_t i = 0; i <= kMaxStimulusBusBits; ++i) {
         const netlist::NetId bit =
             nl.find_net(tok[1] + "[" + std::to_string(i) + "]");
         if (bit == netlist::kNoNet) break;
-        if (i == options.max_bus_bits)
+        if (i == kMaxStimulusBusBits)
           fail_at(line_no, "bus `" + tok[1] + "` is wider than " +
-                               std::to_string(options.max_bus_bits) + " bits");
+                               std::to_string(kMaxStimulusBusBits) + " bits");
         bus.push_back(bit);
       }
       if (bus.empty())
@@ -160,13 +159,12 @@ StimulusTrace parse_stimulus(std::istream& in, const netlist::Netlist& nl,
 }
 
 StimulusTrace load_stimulus(const std::string& path,
-                            const netlist::Netlist& nl,
-                            const StimulusParseOptions& options) {
+                            const netlist::Netlist& nl) {
   std::ifstream in(path, std::ios::binary);
   if (!in)
     LIMS_FAIL(ErrorCode::kIo, "cannot read stimulus file: " << path);
   DIAG_CONTEXT("parse stimulus " + path);
-  return parse_stimulus(in, nl, options);
+  return parse_stimulus(in, nl);
 }
 
 }  // namespace limsynth::evsim

@@ -26,26 +26,22 @@
 
 namespace limsynth::evsim {
 
-struct StimulusParseOptions {
-  /// Longest accepted line; longer input is rejected (kInvalidConfig), not
-  /// buffered — a 10 GB line must not become a 10 GB string.
-  std::size_t max_line_bytes = 4096;
-  /// Highest accepted cycle number: `cycle 9999999999` would otherwise
-  /// allocate a trace entry per cycle up to it.
-  std::uint64_t max_cycle = 1u << 20;
-  /// Widest accepted bus (values are carried in a uint64_t).
-  std::size_t max_bus_bits = 64;
-};
+/// Longest accepted line; longer input is rejected (kInvalidConfig), not
+/// buffered — a 10 GB line must not become a 10 GB string.
+inline constexpr std::size_t kMaxStimulusLineBytes = 4096;
+/// Highest accepted cycle number: `cycle 9999999999` would otherwise
+/// allocate a trace entry per cycle up to it.
+inline constexpr std::uint64_t kMaxStimulusCycle = 1u << 20;
+/// Widest accepted bus (values are carried in a uint64_t).
+inline constexpr std::size_t kMaxStimulusBusBits = 64;
 
 /// Parses a stimulus stream against `nl` (net names must resolve).
 /// Throws Error(kInvalidConfig) with the offending line number on any
 /// malformed directive, unknown net, out-of-range value or cycle.
-StimulusTrace parse_stimulus(std::istream& in, const netlist::Netlist& nl,
-                             const StimulusParseOptions& options = {});
+StimulusTrace parse_stimulus(std::istream& in, const netlist::Netlist& nl);
 
 /// Opens and parses `path`; Error(kIo) when the file cannot be read.
 StimulusTrace load_stimulus(const std::string& path,
-                            const netlist::Netlist& nl,
-                            const StimulusParseOptions& options = {});
+                            const netlist::Netlist& nl);
 
 }  // namespace limsynth::evsim

@@ -11,17 +11,10 @@
 
 namespace limsynth::layout {
 
-struct SvgOptions {
-  double scale = 8e6;   // pixels per meter (8 px/um)
-  bool labels = true;   // draw region names on large regions
-};
-
 /// Renders regions (e.g. BrickLayout::regions or floorplan rectangles)
-/// as an SVG document.
-void write_svg(const std::vector<Region>& regions, std::ostream& os,
-               const SvgOptions& options = {});
-std::string to_svg_string(const std::vector<Region>& regions,
-                          const SvgOptions& options = {});
+/// as an SVG document at 4 px/um, naming every large region.
+void write_svg(const std::vector<Region>& regions, std::ostream& os);
+std::string to_svg_string(const std::vector<Region>& regions);
 
 /// Fill color for a pattern class (hex, e.g. "#4477aa").
 const char* pattern_color(tech::PatternClass pc);

@@ -90,7 +90,9 @@ std::uint64_t dse_point_key(const PartitionChoice& choice,
      << ";yield_chips=" << options.yield_chips
      << ";yield_seed=" << options.yield_seed
      << ";d0=" << format_g17(options.defect_density_per_m2)
-     << ";alpha=" << format_g17(options.cluster_alpha);
+     // Clustering is always the process's; "-1" is how earlier keys
+     // spelled that, so their journals still resume.
+     << ";alpha=-1";
   return fnv1a(os.str());
 }
 

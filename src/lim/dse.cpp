@@ -43,8 +43,6 @@ double partition_yield(const PartitionChoice& choice, int width,
   const double d0 = opt.defect_density_per_m2 >= 0.0
                         ? opt.defect_density_per_m2
                         : process.defect_density_per_m2;
-  const double alpha =
-      opt.cluster_alpha > 0.0 ? opt.cluster_alpha : process.defect_cluster_alpha;
   // Decorrelate the defect streams of different points while staying
   // deterministic for a given (seed, choice).
   const std::uint64_t seed =
@@ -54,7 +52,9 @@ double partition_yield(const PartitionChoice& choice, int width,
   Rng rng(seed);
   int good = 0;
   for (int i = 0; i < opt.yield_chips; ++i) {
-    fault::FaultMap map(geom, fault::sample_defects(geom, d0, alpha, rng));
+    fault::FaultMap map(
+        geom,
+        fault::sample_defects(geom, d0, process.defect_cluster_alpha, rng));
     if (fault::allocate_repairs(map, opt.ecc).repairable) ++good;
   }
   return static_cast<double>(good) / opt.yield_chips;

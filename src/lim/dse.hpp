@@ -58,9 +58,9 @@ struct SweepOptions {
   /// post-repair yield. Deterministic given `yield_seed`.
   int yield_chips = 0;
   std::uint64_t yield_seed = 1;
-  /// Negative = use the tech::Process defectivity values.
+  /// Negative = use the tech::Process defect density. The defect
+  /// clustering is always the process's.
   double defect_density_per_m2 = -1.0;
-  double cluster_alpha = -1.0;
 };
 
 struct DsePoint {

@@ -14,7 +14,7 @@ FlowReport run_analyses(
   bound.check_fresh();
   FlowReport rep;
 
-  if (opt.run_placement) {
+  {
     DIAG_CONTEXT("placement + parasitics");
     rep.floorplan = place::place_design(bound, process);
     rep.area = rep.floorplan.area;
@@ -24,7 +24,7 @@ FlowReport run_analyses(
   {
     DIAG_CONTEXT("static timing analysis");
     sta::StaOptions sta_opt = opt.sta;
-    if (opt.run_placement) sta_opt.floorplan = &rep.floorplan;
+    sta_opt.floorplan = &rep.floorplan;
     rep.timing = sta::run_sta(bound, sta_opt);
     rep.fmax = rep.timing.fmax();
   }
@@ -40,9 +40,8 @@ FlowReport run_analyses(
 
     power::PowerOptions popt;
     popt.vdd = process.vdd;
-    popt.frequency =
-        opt.power_frequency > 0.0 ? opt.power_frequency : rep.fmax;
-    popt.floorplan = opt.run_placement ? &rep.floorplan : nullptr;
+    popt.frequency = rep.fmax;
+    popt.floorplan = &rep.floorplan;
     popt.sta = &rep.timing;  // per-net slews for the energy LUT lookups
     rep.power = power::analyze_power(bound, sim, popt);
     rep.analysis_frequency = popt.frequency;
@@ -62,10 +61,10 @@ FlowReport run_flow(
   synth::SynthStats synthesis;
   {
     DIAG_CONTEXT("logic synthesis");
-    synthesis = synth::synthesize(nl, lib, cells, opt.synth);
+    synthesis = synth::synthesize(nl, lib, cells);
   }
 
-  if (opt.run_placement) {
+  {
     DIAG_CONTEXT("post-placement timing recovery");
     // Resize against extracted wire caps, then re-place/re-extract in the
     // analysis stage (the ICC optimize loop). The trial binding dies with
@@ -77,7 +76,7 @@ FlowReport run_flow(
       for (std::size_t n = 0; n < wire_caps.size(); ++n)
         wire_caps[n] = fp.parasitics[n].wire_cap;
     }
-    synth::SynthOptions resize_opt = opt.synth;
+    synth::SynthOptions resize_opt;
     resize_opt.net_wire_caps = &wire_caps;
     synthesis.resized += synth::resize_gates(nl, lib, cells, resize_opt);
   }

@@ -21,13 +21,11 @@
 
 namespace limsynth::lim {
 
+/// Synthesis runs with default options, and power is analysed at the
+/// STA-derived f_max.
 struct FlowOptions {
-  /// Frequency for power analysis; 0 = run at the STA-derived f_max.
-  double power_frequency = 0.0;
   int activity_cycles = 200;
   std::uint64_t stimulus_seed = 1;
-  bool run_placement = true;
-  synth::SynthOptions synth;
   sta::StaOptions sta;
 };
 
@@ -37,7 +35,7 @@ struct FlowReport {
   sta::StaResult timing;
   power::PowerReport power;
   double fmax = 0.0;          // Hz
-  double analysis_frequency = 0.0;  // Hz used for the power numbers
+  double analysis_frequency = 0.0;  // Hz used for the power numbers (f_max)
   double area = 0.0;          // m^2 (floorplan)
   double wirelength = 0.0;    // m
 };

@@ -77,9 +77,7 @@ std::string floorplan_svg(const netlist::Netlist& nl,
   }
   (void)lib;
   // The die/logic/macros overlap by construction; render back-to-front.
-  layout::SvgOptions opt;
-  opt.scale = 4e6;
-  return layout::to_svg_string(regions, opt);
+  return layout::to_svg_string(regions);
 }
 
 }  // namespace limsynth::lim

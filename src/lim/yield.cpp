@@ -66,8 +66,6 @@ FullYieldResult analyze_yield_full(
   const double d0 = opt.defect_density_per_m2 >= 0.0
                         ? opt.defect_density_per_m2
                         : nominal.defect_density_per_m2;
-  const double alpha = opt.cluster_alpha > 0.0 ? opt.cluster_alpha
-                                               : nominal.defect_cluster_alpha;
   const std::function<double(const tech::Process&)> fmax_of =
       measure_fmax ? measure_fmax : estimator_fmax(cfg);
 
@@ -94,7 +92,7 @@ FullYieldResult analyze_yield_full(
     res.parametric.stats.add(f);
 
     const std::vector<fault::Defect> defects =
-        fault::sample_defects(geom, d0, alpha, rng);
+        fault::sample_defects(geom, d0, nominal.defect_cluster_alpha, rng);
     res.mean_defects += static_cast<double>(defects.size());
     fault::FaultMap map(geom, defects);
     if (map.logical_array_clean()) ++res.functional_good;
@@ -113,14 +111,9 @@ FullYieldResult analyze_yield_full(
   res.mean_defects /= opt.chips;
   res.mean_spares_used /= opt.chips;
 
-  std::vector<double> bins = opt.freq_bins;
-  if (bins.empty()) {
-    const double mean = res.parametric.stats.mean();
-    for (double frac : {0.80, 0.85, 0.90, 0.95, 1.00, 1.05, 1.10})
-      bins.push_back(frac * mean);
-  }
-  std::sort(bins.begin(), bins.end());
-  for (double f : bins) {
+  const double mean = res.parametric.stats.mean();
+  for (const double frac : {0.80, 0.85, 0.90, 0.95, 1.00, 1.05, 1.10}) {
+    const double f = frac * mean;
     FullYieldResult::Bin bin;
     bin.freq = f;
     bin.parametric = res.parametric.yield_at(f);
@@ -136,18 +129,16 @@ FullYieldResult analyze_yield_full(
 
   // Functional replay of every repairable chip: elaborate + synthesize
   // the config once, run a fault-free golden on the scalar settle engine,
-  // then replay each chip's post-repair overlay and compare read data.
-  // The batch path packs 63 chips per bit-plane pass with lane 0 holding
-  // the golden; its lane-0 output is cross-checked against the scalar
-  // golden every cycle, and any divergence (or a design the kernel cannot
-  // bind) drops the affected chips back onto the scalar engine.
+  // then replay the chips' post-repair overlays 63 per bit-plane pass with
+  // lane 0 holding the golden. Lane 0's reads are cross-checked against
+  // the scalar golden every cycle; a divergence is an internal error.
   if (opt.verify_cycles > 0) {
     res.chip_verified.assign(static_cast<std::size_t>(opt.chips), 0);
     tech::StdCellLib cells(nominal);
     SramDesign design = build_sram(cfg, nominal, cells);
     synth::synthesize(design.nl, design.lib, cells);
     const std::vector<SramCycle> trace =
-        random_cycles(design, opt.verify_cycles, opt.verify_seed);
+        random_cycles(design, opt.verify_cycles, kYieldVerifySeed);
     const int rows = design.config.rows_per_bank();
     const int code_bits = design.config.code_bits();
 
@@ -168,47 +159,23 @@ FullYieldResult analyze_yield_full(
       }
     }
 
-    const auto scalar_verify = [&](int chip) {
-      netlist::Simulator sim(design.nl, cells);
-      for (std::size_t b = 0; b < design.banks.size(); ++b) {
-        auto m = std::make_shared<SramBankModel>(rows, code_bits);
-        m->set_faults(maps[static_cast<std::size_t>(chip)],
-                      static_cast<int>(b));
-        sim.attach(design.banks[b], std::move(m));
-      }
-      for (std::size_t c = 0; c < trace.size(); ++c) {
-        const SramCycle& t = trace[c];
-        sim.set_bus(design.raddr, t.raddr);
-        sim.set_bus(design.waddr, t.waddr);
-        sim.set_bus(design.wdata, t.wdata);
-        sim.set_input(design.wen, t.wen);
-        sim.settle();
-        sim.clock_edge();
-        if (sim.bus_value(design.rdata) != golden[c]) return false;
-      }
-      return true;
-    };
-
-    std::unique_ptr<netlist::BoundDesign> bound;
-    std::unique_ptr<bitsim::BatchProgram> program;
-    if (opt.verify_batch) {
-      try {
-        bound = std::make_unique<netlist::BoundDesign>(design.nl, design.lib);
-        program = std::make_unique<bitsim::BatchProgram>(*bound, cells);
-      } catch (const Error&) {
-        program.reset();
-        bound.reset();
-      }
-    }
-
-    const auto batch_verify = [&](const std::vector<int>& group) {
-      bitsim::BatchSim sim(*program);
+    const netlist::BoundDesign bound(design.nl, design.lib);
+    const bitsim::BatchProgram program(bound, cells);
+    std::vector<int> pending;
+    for (int i = 0; i < opt.chips; ++i)
+      if (repairable[static_cast<std::size_t>(i)]) pending.push_back(i);
+    res.verified = static_cast<int>(pending.size());
+    for (std::size_t at = 0; at < pending.size();) {
+      const std::size_t take =
+          std::min<std::size_t>(pending.size() - at,
+                                static_cast<std::size_t>(bitsim::kLanes - 1));
+      bitsim::BatchSim sim(program);
       for (std::size_t b = 0; b < design.banks.size(); ++b) {
         auto m = std::make_shared<bitsim::BatchSramBank>(
-            *program, design.banks[b], rows, code_bits);
-        for (std::size_t i = 0; i < group.size(); ++i)
+            program, design.banks[b], rows, code_bits);
+        for (std::size_t i = 0; i < take; ++i)
           m->set_lane_faults(static_cast<int>(i) + 1,
-                             *maps[static_cast<std::size_t>(group[i])],
+                             *maps[static_cast<std::size_t>(pending[at + i])],
                              static_cast<int>(b));
         sim.attach(design.banks[b], std::move(m));
       }
@@ -231,41 +198,14 @@ FullYieldResult analyze_yield_full(
                     "bitsim golden lane diverged from the settle engine "
                     "during yield verification");
       }
-      for (std::size_t i = 0; i < group.size(); ++i)
-        res.chip_verified[static_cast<std::size_t>(group[i])] =
+      for (std::size_t i = 0; i < take; ++i) {
+        const std::uint8_t good =
             ((diff >> (static_cast<int>(i) + 1)) & 1) ? 0 : 1;
-    };
-
-    std::vector<int> pending;
-    for (int i = 0; i < opt.chips; ++i)
-      if (repairable[static_cast<std::size_t>(i)]) pending.push_back(i);
-    res.verified = static_cast<int>(pending.size());
-    for (std::size_t at = 0; at < pending.size();) {
-      const std::size_t take =
-          std::min<std::size_t>(pending.size() - at,
-                                static_cast<std::size_t>(bitsim::kLanes - 1));
-      const std::vector<int> group(pending.begin() + static_cast<long>(at),
-                                   pending.begin() +
-                                       static_cast<long>(at + take));
-      bool via_batch = false;
-      if (program != nullptr) {
-        try {
-          batch_verify(group);
-          via_batch = true;
-          res.verify_batched += static_cast<int>(group.size());
-        } catch (const Error&) {
-          // Kernel bailed mid-group: verdicts for this group come from
-          // the scalar engine instead.
-        }
+        res.chip_verified[static_cast<std::size_t>(pending[at + i])] = good;
+        res.verified_good += good;
       }
-      if (!via_batch)
-        for (const int chip : group)
-          res.chip_verified[static_cast<std::size_t>(chip)] =
-              scalar_verify(chip) ? 1 : 0;
       at += take;
     }
-    for (const int chip : pending)
-      res.verified_good += res.chip_verified[static_cast<std::size_t>(chip)];
   }
   return res;
 }

@@ -40,15 +40,15 @@ struct YieldResult {
 
 // ------------------------------------------------- defect-aware yield
 
+/// Seed of the random_cycles write/read trace every verified chip replays.
+inline constexpr std::uint64_t kYieldVerifySeed = 20150608;
+
 struct FullYieldOptions {
   int chips = 100;
   std::uint64_t seed = 1;
-  /// Frequencies for the yield curve; empty = 80%..110% of mean f_max.
-  std::vector<double> freq_bins;
-  /// Override the process defect density / clustering (negative = use
-  /// the tech::Process values).
+  /// Override the process defect density (negative = use the
+  /// tech::Process value; the clustering is always the process's).
   double defect_density_per_m2 = -1.0;
-  double cluster_alpha = -1.0;
   /// Cooperative cancellation (SIGINT/SIGTERM handlers set it). Checked
   /// between sampled chips: on cancel the analysis throws
   /// Error(kInterrupted) *before* any output is written, so the CLI
@@ -59,13 +59,9 @@ struct FullYieldOptions {
   /// this many cycles of a deterministic write/read trace against the
   /// chip's post-repair fault overlay and compare read data to a
   /// fault-free golden — the allocator's "shippable" verdict tested end
-  /// to end. 0 disables (analytic verdicts only).
+  /// to end. 0 disables (analytic verdicts only). The replay runs 63
+  /// chips per bit-plane pass (bitsim) with lane 0 holding the golden.
   int verify_cycles = 0;
-  std::uint64_t verify_seed = 20150608;
-  /// Verify 63 chips per bit-plane pass (bitsim, lane 0 golden) instead
-  /// of one scalar settle-engine replay per chip. Verdicts are identical
-  /// either way; designs the kernel cannot bind fall back to scalar.
-  bool verify_batch = true;
 };
 
 struct FullYieldResult {
@@ -86,7 +82,6 @@ struct FullYieldResult {
   // Functional verification (verify_cycles > 0; all zero otherwise).
   int verified = 0;         // repairable chips functionally replayed
   int verified_good = 0;    // replays whose reads matched the golden
-  int verify_batched = 0;   // chips verified on the bit-plane kernel
   /// Per-chip replay verdict: 1 = reads matched the golden everywhere,
   /// 0 = mismatch or not verified (unrepairable chips are never run).
   std::vector<std::uint8_t> chip_verified;
@@ -114,7 +109,8 @@ std::function<double(const tech::Process&)> estimator_fmax(
 /// Full defect + parametric yield analysis: per chip, samples process
 /// variation (f_max via `measure_fmax`; pass nullptr for the estimator
 /// proxy) and a defect population, plans repair with the config's spare
-/// rows and ECC, and bins the results. Deterministic given the seed.
+/// rows and ECC, and bins the results at 80%..110% of the mean f_max.
+/// Deterministic given the seed.
 FullYieldResult analyze_yield_full(
     const SramConfig& cfg, const tech::Process& nominal,
     const FullYieldOptions& options = {},

@@ -15,6 +15,9 @@ using netlist::InstId;
 using netlist::Netlist;
 using netlist::NetId;
 
+constexpr double kUtilization = 0.70;  // logic-region cell density
+constexpr int kRefineIterations = 24;  // barycentric refinement passes
+
 /// Splits "RWL[17]" into base/index; index -1 for scalar pins.
 std::pair<std::string, int> split_pin(const std::string& pin) {
   const auto pos = pin.find('[');
@@ -113,7 +116,7 @@ Floorplan place_design(const netlist::BoundDesign& bd,
   }
 
   // --------------------------------------------------------- floorplan
-  const double logic_area = fp.cell_area / opt.utilization;
+  const double logic_area = fp.cell_area / kUtilization;
   double width = std::max(macro_row_width, std::sqrt(std::max(logic_area, 1e-12)));
   const double logic_height = logic_area / width;
   const double macro_band =
@@ -181,7 +184,7 @@ Floorplan place_design(const netlist::BoundDesign& bd,
     return fp.positions[static_cast<std::size_t>(inst)];
   };
 
-  for (int iter = 0; iter < opt.refine_iterations; ++iter) {
+  for (int iter = 0; iter < kRefineIterations; ++iter) {
     for (std::size_t i = 0; i < n_inst; ++i) {
       const auto id = static_cast<InstId>(i);
       if (!nl.is_live(id)) continue;
@@ -257,12 +260,6 @@ Floorplan place_design(const netlist::BoundDesign& bd,
     }
   }
   return fp;
-}
-
-Floorplan place_design(const Netlist& nl, const liberty::Library& lib,
-                       const tech::Process& process,
-                       const PlaceOptions& opt) {
-  return place_design(netlist::BoundDesign(nl, lib), process, opt);
 }
 
 }  // namespace limsynth::place

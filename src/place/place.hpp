@@ -21,8 +21,6 @@
 namespace limsynth::place {
 
 struct PlaceOptions {
-  double utilization = 0.70;  // logic-region cell density
-  int refine_iterations = 24;
   /// Keepout (power ring + routing channel) around each macro. Costed per
   /// macro, which is what makes fine partitioning pay in area (Fig. 4b,
   /// configuration E vs D).
@@ -64,12 +62,6 @@ struct Floorplan {
 /// binding's dense tables. Throws Error(kStaleBinding) if the netlist
 /// changed since binding.
 Floorplan place_design(const netlist::BoundDesign& bound,
-                       const tech::Process& process,
-                       const PlaceOptions& options = {});
-
-/// Convenience: binds and places.
-Floorplan place_design(const netlist::Netlist& nl,
-                       const liberty::Library& lib,
                        const tech::Process& process,
                        const PlaceOptions& options = {});
 

@@ -15,15 +15,15 @@ using netlist::Netlist;
 using netlist::NetId;
 
 /// Slew for an arc lookup: the STA-propagated slew of the arc's input net
-/// when available (the clock net carries sta::kClockSlew there), else the
-/// configured default.
+/// when available (the clock net carries sta::kClockSlew there), else
+/// sta::kDefaultSlew.
 double arc_slew(const PowerOptions& opt, NetId from_net) {
   if (opt.sta != nullptr && from_net != netlist::kNoNet) {
     const auto n = static_cast<std::size_t>(from_net);
     if (n < opt.sta->net_slew.size() && opt.sta->net_arrival[n] >= 0.0)
       return opt.sta->net_slew[n];
   }
-  return opt.default_slew;
+  return sta::kDefaultSlew;
 }
 
 }  // namespace
@@ -42,7 +42,6 @@ PowerReport analyze_power(const BoundDesign& bd, const netlist::Activity& act,
   // Per-net total load (wire + sink pins), as in STA.
   sta::NetLoadOptions load_opt;
   load_opt.floorplan = opt.floorplan;
-  load_opt.prelayout_cap_per_sink = opt.prelayout_cap_per_sink;
   const sta::NetLoads loads = compute_net_loads(bd, load_opt);
 
   const double cycles = static_cast<double>(act.cycles);

@@ -21,15 +21,13 @@ namespace limsynth::power {
 struct PowerOptions {
   double frequency = 500e6;  // Hz
   double vdd = 1.2;          // V, for clock-pin CV^2f
+  /// Placement parasitics; nullptr = pre-placement wire model.
   const place::Floorplan* floorplan = nullptr;
-  double prelayout_cap_per_sink = 1.0e-15;  // F when no floorplan
-  /// Slew used for the energy-LUT lookups when no STA result is supplied
-  /// (or for nets STA never reached). With `sta` set, each arc is looked
-  /// up at the STA-propagated slew of its input net instead — the same
-  /// slews the delay LUTs saw — so fast and slow corners of the same
-  /// netlist stop sharing one energy point.
-  double default_slew = 30e-12;  // s
-  /// Optional STA result over the same netlist; enables per-net slews.
+  /// Optional STA result over the same netlist. With it, each energy-LUT
+  /// arc is looked up at the STA-propagated slew of its input net — the
+  /// same slews the delay LUTs saw — so fast and slow corners of the same
+  /// netlist stop sharing one energy point. Without it (and on nets STA
+  /// never reached) the lookups use sta::kDefaultSlew.
   const sta::StaResult* sta = nullptr;
 };
 

@@ -15,6 +15,12 @@ namespace limsynth::seu {
 
 namespace {
 
+/// SET pulse width (deposited-charge duration) and the window its
+/// strike-to-edge lead is drawn from, uniformly in [min, max).
+constexpr double kSetWidth = 120e-12;    // s
+constexpr double kSetLeadMin = 50e-12;   // s
+constexpr double kSetLeadMax = 600e-12;  // s
+
 /// splitmix64 finalizer over (seed, index): every sample draws from an
 /// independent, reproducible stream regardless of which worker runs it.
 std::uint64_t mix64(std::uint64_t seed, std::uint64_t index) {
@@ -67,9 +73,9 @@ std::string campaign_key(const SeuRig& rig, const SitePlan& plan,
      << ";set_nets=" << plan.set_nets.size()
      << ";samples=" << opt.samples << ";seed=" << opt.seed
      << ";burst=" << opt.burst
-     << ";set_width=" << jsonl::format_g17(opt.set_width_s)
-     << ";set_lead=[" << jsonl::format_g17(opt.set_lead_min_s) << ","
-     << jsonl::format_g17(opt.set_lead_max_s) << ")"
+     << ";set_width=" << jsonl::format_g17(kSetWidth)
+     << ";set_lead=[" << jsonl::format_g17(kSetLeadMin) << ","
+     << jsonl::format_g17(kSetLeadMax) << ")"
      << ";trace=";
   std::ostringstream tr;
   for (std::size_t c = 0; c < rig.trace->size(); ++c)
@@ -257,9 +263,8 @@ InjectionSpec plan_sample(const SeuRig& rig, const SitePlan& plan,
       break;
     case SiteKind::kSetPulse:
       spec.site.net = plan.set_nets[rng.below(plan.set_nets.size())];
-      spec.set_width_fs = evsim::to_fs(opt.set_width_s);
-      spec.set_lead_fs = evsim::to_fs(
-          rng.uniform(opt.set_lead_min_s, opt.set_lead_max_s));
+      spec.set_width_fs = evsim::to_fs(kSetWidth);
+      spec.set_lead_fs = evsim::to_fs(rng.uniform(kSetLeadMin, kSetLeadMax));
       break;
   }
   return spec;
@@ -272,10 +277,6 @@ CampaignResult run_campaign(const SeuRig& rig, const tech::Process& process,
   LIMS_CHECK_MSG(opt.burst > 0, "burst must flip at least one bit");
   LIMS_CHECK_MSG(rig.trace != nullptr && rig.trace->size() > 0,
                  "campaign needs a non-empty stimulus trace");
-  LIMS_CHECK_MSG(opt.set_lead_min_s > 0 &&
-                     opt.set_lead_max_s > opt.set_lead_min_s,
-                 "SET lead window must satisfy 0 < min < max");
-  LIMS_CHECK_MSG(opt.set_width_s > 0, "SET width must be positive");
 
   CampaignResult res;
   res.samples = opt.samples;
@@ -307,20 +308,14 @@ CampaignResult run_campaign(const SeuRig& rig, const tech::Process& process,
   const auto plan_units = [&](const std::vector<std::size_t>& todo) {
     golden = run_golden(rig);
     // Batch kernel: bind once, share const across workers. Designs the
-    // bit-plane kernel cannot express (or --no-batch) leave every sample
-    // on the scalar event engine; the choice is recorded as provenance
-    // only and never fingerprinted, so reports and journals stay
-    // interoperable.
-    if (!opt.batch) {
-      res.kernel = "scalar (disabled)";
-    } else {
-      try {
-        kernel = std::make_unique<BatchKernel>(rig);
-        res.kernel = "bitplane";
-      } catch (const Error& e) {
-        res.kernel =
-            std::string("scalar (") + error_code_name(e.code()) + ")";
-      }
+    // bit-plane kernel cannot express leave every sample on the scalar
+    // event engine; the choice is recorded as provenance only and never
+    // fingerprinted, so reports and journals stay interoperable.
+    try {
+      kernel = std::make_unique<BatchKernel>(rig);
+      res.kernel = "bitplane";
+    } catch (const Error& e) {
+      res.kernel = std::string("scalar (") + error_code_name(e.code()) + ")";
     }
     std::vector<std::vector<std::size_t>> units;
     std::vector<std::size_t> group;

@@ -31,25 +31,16 @@
 
 namespace limsynth::seu {
 
+/// Macro-bit and flop samples are classified on the bit-plane batch kernel
+/// (seu/batch.hpp), 63 per pass against a resident golden lane. SET
+/// samples (120 ps pulses, strike-to-edge lead drawn from [50, 600) ps),
+/// groups the kernel bails on and every sample of a design it cannot bind
+/// run on the scalar event engine. Both give the same classification.
 struct CampaignOptions {
   int samples = 1000;
   std::uint64_t seed = 1;
   /// Adjacent macro bits flipped per SEU (1 = single-bit, >1 = MCU burst).
   int burst = 1;
-  /// SET pulse width (deposited-charge duration, seconds).
-  double set_width_s = 120e-12;
-  /// Strike-to-edge lead is drawn uniformly from [min, max) per sample.
-  double set_lead_min_s = 50e-12;
-  double set_lead_max_s = 600e-12;
-  /// Per-injection wall-clock budget; overruns classify as kHang.
-  double run_timeout_seconds = 60.0;
-  /// Classify macro-bit and flop samples on the bit-plane batch kernel
-  /// (seu/batch.hpp), 63 per pass against a resident golden lane. SET
-  /// samples always use the scalar event engine, and designs the kernel
-  /// cannot bind fall back wholesale. The flag is excluded from the
-  /// campaign fingerprint: batched and scalar runs produce byte-identical
-  /// reports and interoperable journals.
-  bool batch = true;
   /// Journal, resume, whole-campaign budget, cancellation and worker
   /// threads (`run.jobs`; each run owns a private EventSimulator). A
   /// stopped campaign leaves the journal holding every sample of its
@@ -100,7 +91,6 @@ struct CampaignResult {
   double fit_due = 0.0;
   double fit_hang = 0.0;
 
-  bool complete() const { return completed == samples; }
   double rate(Outcome o) const;
   /// 95% Wilson score interval on an outcome's rate over all completed
   /// samples.

@@ -21,7 +21,7 @@ NetLoads compute_net_loads(const netlist::BoundDesign& bd,
       wire_cap = opt.floorplan->net(net).wire_cap;
       wire_res = opt.floorplan->net(net).wire_res;
     } else {
-      wire_cap = opt.prelayout_cap_per_sink *
+      wire_cap = kPrelayoutCapPerSink *
                  static_cast<double>(bd.sinks(net).size());
     }
     const auto n = static_cast<std::size_t>(net);

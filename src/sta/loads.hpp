@@ -18,11 +18,25 @@ namespace limsynth::sta {
 /// clock-pin lookup needs one.
 inline constexpr double kClockSlew = 30e-12;  // s
 
+/// Pre-placement wire model: estimated wire capacitance per sink of a
+/// net, read by STA, power, evsim annotation and synthesis sizing alike.
+inline constexpr double kPrelayoutCapPerSink = 1.0e-15;  // F
+
+/// Load on every primary-output net, as STA and evsim annotation see it.
+inline constexpr double kOutputLoad = 5e-15;  // F
+
+/// Skew + jitter margin folded into every setup (and half into every
+/// hold) check, by STA and the event-driven engine's endpoint windows.
+inline constexpr double kClockUncertainty = 15e-12;  // s
+
+/// Data slew for arc lookups on nets no STA result covers (power's energy
+/// LUTs and evsim's delay LUTs without an StaResult).
+inline constexpr double kDefaultSlew = 30e-12;  // s
+
 struct NetLoadOptions {
   /// Optional placement parasitics; nullptr = pre-placement wire model
-  /// (fanout-proportional capacitance, zero resistance).
+  /// (kPrelayoutCapPerSink per sink, zero resistance).
   const place::Floorplan* floorplan = nullptr;
-  double prelayout_cap_per_sink = 1.0e-15;  // F, used when no floorplan
   /// Extra capacitance on primary-output nets (0 to ignore them).
   double output_load = 0.0;  // F
 };

@@ -17,6 +17,12 @@ using netlist::LibCellId;
 using netlist::Netlist;
 using netlist::NetId;
 
+/// Primary-input timing: latest arrival, earliest arrival (min input
+/// delay, for hold) and slew. Tie-cell outputs also start at kInputSlew.
+constexpr double kInputArrival = 0.0;        // s
+constexpr double kInputMinArrival = 30e-12;  // s
+constexpr double kInputSlew = 20e-12;        // s
+
 }  // namespace
 
 StaResult run_sta(const BoundDesign& bd, const StaOptions& opt) {
@@ -27,15 +33,14 @@ StaResult run_sta(const BoundDesign& bd, const StaOptions& opt) {
 
   StaResult res;
   res.net_arrival.assign(n_nets, -1.0);  // -1 = not yet computed
-  res.net_slew.assign(n_nets, opt.input_slew);
+  res.net_slew.assign(n_nets, kInputSlew);
   // Earliest arrivals for hold analysis, computed alongside the latest.
   std::vector<double> min_arrival(n_nets, -1.0);
 
   // ------------------------------------------------------------- loads
   NetLoadOptions load_opt;
   load_opt.floorplan = opt.floorplan;
-  load_opt.prelayout_cap_per_sink = opt.prelayout_cap_per_sink;
-  load_opt.output_load = opt.output_load;
+  load_opt.output_load = kOutputLoad;
   const NetLoads loads = compute_net_loads(bd, load_opt);
   const std::vector<double>& net_load = loads.load;
   const std::vector<double>& net_wire_delay = loads.wire_delay;
@@ -55,8 +60,7 @@ StaResult run_sta(const BoundDesign& bd, const StaOptions& opt) {
 
   for (const auto& port : nl.ports()) {
     if (port.dir == netlist::PortDir::kInput)
-      set_arrival(port.net, opt.input_arrival, opt.input_slew,
-                  std::max(opt.input_min_arrival, 0.0));
+      set_arrival(port.net, kInputArrival, kInputSlew, kInputMinArrival);
   }
   if (nl.clock() != netlist::kNoNet)
     set_arrival(nl.clock(), 0.0, kClockSlew);
@@ -84,7 +88,7 @@ StaResult run_sta(const BoundDesign& bd, const StaOptions& opt) {
       }
     } else if (conns.size() == 1 && conns[0].is_output) {
       // Tie cell: constant.
-      set_arrival(conns[0].net, 0.0, opt.input_slew);
+      set_arrival(conns[0].net, 0.0, kInputSlew);
       net_pred[static_cast<std::size_t>(conns[0].net)] = {id, netlist::kNoNet};
     }
   }
@@ -124,7 +128,7 @@ StaResult run_sta(const BoundDesign& bd, const StaOptions& opt) {
     for (const BoundConn& out : conns) {
       if (!out.is_output) continue;
       const double load = net_load[static_cast<std::size_t>(out.net)];
-      double worst_arr = 0.0, worst_slew = opt.input_slew;
+      double worst_arr = 0.0, worst_slew = kInputSlew;
       double best_arr = 1e30;
       NetId worst_in = netlist::kNoNet;
       bool any_input = false;
@@ -195,11 +199,11 @@ StaResult run_sta(const BoundDesign& bd, const StaOptions& opt) {
       const auto net = static_cast<std::size_t>(c.net);
       if (res.net_arrival[net] < 0.0) continue;  // unreached (constant)
       const double t = res.net_arrival[net] + net_wire_delay[net] +
-                       con->setup + opt.clock_uncertainty;
+                       con->setup + kClockUncertainty;
       consider(t, nl.instance(id).name + "/" + bd.pin_name(c.pin), c.net);
       // Hold: earliest same-edge arrival must exceed the hold window.
       const double hold_slack =
-          min_arrival[net] - (con->hold + 0.5 * opt.clock_uncertainty);
+          min_arrival[net] - (con->hold + 0.5 * kClockUncertainty);
       if (hold_slack < worst_hold) {
         worst_hold = hold_slack;
         res.hold_endpoint = nl.instance(id).name + "/" + bd.pin_name(c.pin);
@@ -211,7 +215,7 @@ StaResult run_sta(const BoundDesign& bd, const StaOptions& opt) {
     if (port.dir != netlist::PortDir::kOutput) continue;
     const auto net = static_cast<std::size_t>(port.net);
     if (res.net_arrival[net] < 0.0) continue;
-    consider(res.net_arrival[net] + opt.clock_uncertainty, "PO " + port.name,
+    consider(res.net_arrival[net] + kClockUncertainty, "PO " + port.name,
              port.net);
   }
 

@@ -19,16 +19,9 @@
 namespace limsynth::sta {
 
 struct StaOptions {
-  double input_slew = 20e-12;       // s, slew at primary inputs
-  double input_arrival = 0.0;       // s, latest arrival at primary inputs
-  /// Earliest arrival at primary inputs (min input delay, for hold).
-  double input_min_arrival = 30e-12;
-  double output_load = 5e-15;       // F on primary outputs
-  double clock_uncertainty = 15e-12;  // s, skew + jitter margin
   /// Optional placement parasitics; nullptr = pre-placement wire model
-  /// (fanout-proportional).
+  /// (fanout-proportional, kPrelayoutCapPerSink in sta/loads.hpp).
   const place::Floorplan* floorplan = nullptr;
-  double prelayout_cap_per_sink = 1.0e-15;  // F, used when no floorplan
 };
 
 struct PathPoint {

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "netlist/bound.hpp"
+#include "sta/loads.hpp"
 #include "util/log.hpp"
 
 namespace limsynth::synth {
@@ -12,6 +13,11 @@ namespace {
 using netlist::InstId;
 using netlist::Netlist;
 using netlist::NetId;
+
+/// Gate sizing: the logical-effort target per stage and the number of
+/// bottom-up passes.
+constexpr double kEffortPerStage = 4.0;
+constexpr int kSizingPasses = 3;
 
 int sweep_dead(Netlist& nl, const liberty::Library& lib) {
   // Bind once; the sweep's only edits are removals, so the live sink count
@@ -117,7 +123,7 @@ int size_gates(Netlist& nl, const liberty::Library& lib,
     func_of[i] = static_cast<int>(std_of[i]->func);
   }
 
-  for (int pass = 0; pass < opt.sizing_passes; ++pass) {
+  for (int pass = 0; pass < kSizingPasses; ++pass) {
     int pass_resized = 0;
     for (std::size_t i = 0; i < n_inst; ++i) {
       const auto id = static_cast<InstId>(i);
@@ -142,12 +148,11 @@ int size_gates(Netlist& nl, const liberty::Library& lib,
           load += opt.net_wire_caps->at(static_cast<std::size_t>(c.net));
       }
       if (opt.net_wire_caps == nullptr)
-        load += fanout * opt.wire_cap_per_sink;
+        load += fanout * sta::kPrelayoutCapPerSink;
       if (load <= 0.0) continue;
 
-      // Pick the drive so the stage electrical effort is ~effort_per_stage.
-      const double cin_needed =
-          load / opt.effort_per_stage;  // want cin >= load / f
+      // Pick the drive so the stage electrical effort is ~kEffortPerStage.
+      const double cin_needed = load / kEffortPerStage;  // cin >= load / f
       const double drive_needed =
           cin_needed / (std::max(current.logical_effort, 0.5) *
                         cells.process().c_unit());

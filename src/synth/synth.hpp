@@ -14,13 +14,9 @@
 namespace limsynth::synth {
 
 struct SynthOptions {
-  int max_fanout = 12;          // buffer nets with more sinks than this
-  double effort_per_stage = 4.0;  // logical-effort sizing target
-  int sizing_passes = 3;
-  /// Estimated extra wire load per sink before placement (F).
-  double wire_cap_per_sink = 1.0e-15;
-  /// Post-placement mode: actual wire cap per net (indexed by NetId);
-  /// overrides wire_cap_per_sink when set.
+  int max_fanout = 12;  // buffer nets with more sinks than this
+  /// Post-placement mode: actual wire cap per net (indexed by NetId).
+  /// Without it, sizing estimates sta::kPrelayoutCapPerSink per sink.
   const std::vector<double>* net_wire_caps = nullptr;
 };
 

@@ -180,9 +180,4 @@ const StdCell* StdCellLib::find(std::string_view name) const {
   return nullptr;
 }
 
-const StdCell& StdCellLib::by_name(const std::string& name) const {
-  if (const StdCell* c = find(name)) return *c;
-  throw Error("no standard cell named " + name);
-}
-
 }  // namespace limsynth::tech

@@ -117,9 +117,6 @@ class StdCellLib {
   /// a memory macro's.
   const StdCell* find(std::string_view name) const;
 
-  /// Exact-name lookup; throws if absent.
-  const StdCell& by_name(const std::string& name) const;
-
   /// Row height shared by all cells (m).
   double row_height() const { return row_height_; }
 

@@ -187,20 +187,18 @@ TEST(Cores, LimParallelismBeatsHeapOnWideColumns) {
 }
 
 TEST(Dram, StreamingBeatsRandomAccess) {
-  const DramConfig cfg;
   // The whole point of the [12] sub-block layout.
-  EXPECT_LT(dram_stream_cycles(cfg, 10000), dram_random_cycles(cfg, 10000));
-  EXPECT_EQ(dram_stream_cycles(cfg, 0), 0);
+  EXPECT_LT(dram_stream_cycles(10000), dram_random_cycles(10000));
+  EXPECT_EQ(dram_stream_cycles(0), 0);
   // Streaming asymptote: within ~25% of words/bandwidth (activations add
-  // one t_activate per row).
-  const auto c = dram_stream_cycles(cfg, 100000);
-  EXPECT_NEAR(static_cast<double>(c), 100000 / cfg.words_per_cycle, 0.25 * c);
+  // one activation per row).
+  const auto c = dram_stream_cycles(100000);
+  EXPECT_NEAR(static_cast<double>(c), 100000 / kDramWordsPerCycle, 0.25 * c);
 }
 
 TEST(Dram, ActivationCostVisibleOnSmallBlocks) {
-  DramConfig cfg;
-  const auto tiny = dram_stream_cycles(cfg, 8);
-  EXPECT_GT(tiny, 8 / static_cast<std::int64_t>(cfg.words_per_cycle));
+  const auto tiny = dram_stream_cycles(8);
+  EXPECT_GT(tiny, 8 / static_cast<std::int64_t>(kDramWordsPerCycle));
 }
 
 TEST(Chip, ModelsHaveSection5Shape) {

@@ -199,10 +199,10 @@ TEST(Bound, AnalysesMatchLegacyEntryPoints) {
   const Netlist& cnl = nl;
   const BoundDesign bd(cnl, ctx.lib);
 
-  // Placement agrees exactly between the string-keyed wrapper and the
-  // slot-indexed bound path.
+  // Placement agrees exactly between a binding made for the call and one
+  // shared with other analyses.
   const place::Floorplan fp_legacy =
-      place::place_design(cnl, ctx.lib, ctx.process);
+      place::place_design(BoundDesign(cnl, ctx.lib), ctx.process);
   const place::Floorplan fp_bound = place::place_design(bd, ctx.process);
   EXPECT_DOUBLE_EQ(fp_legacy.area, fp_bound.area);
   EXPECT_DOUBLE_EQ(fp_legacy.total_wirelength, fp_bound.total_wirelength);

@@ -465,9 +465,9 @@ const netlist::Netlist& stimulus_netlist() {
 }
 
 StimulusTrace parse_text(const std::string& text,
-                         const StimulusParseOptions& options = {}) {
+                         const netlist::Netlist& nl = stimulus_netlist()) {
   std::istringstream in(text);
-  return parse_stimulus(in, stimulus_netlist(), options);
+  return parse_stimulus(in, nl);
 }
 
 TEST(Stimulus, ValidFileRoundTrips) {
@@ -490,9 +490,9 @@ TEST(Stimulus, ValidFileRoundTrips) {
 /// Every corpus entry must throw kInvalidConfig naming its line number.
 void expect_rejected(const std::string& text, int bad_line,
                      const std::string& why,
-                     const StimulusParseOptions& options = {}) {
+                     const netlist::Netlist& nl = stimulus_netlist()) {
   try {
-    parse_text(text, options);
+    parse_text(text, nl);
     FAIL() << "accepted: " << why;
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kInvalidConfig) << why;
@@ -524,17 +524,24 @@ TEST(Stimulus, RejectsMalformedInputCorpus) {
 
 TEST(Stimulus, BoundsHostileResourceClaims) {
   // A huge cycle number must not allocate a trace entry per cycle.
-  expect_rejected("cycle 1048577\n", 1, "cycle beyond max_cycle");
-  StimulusParseOptions tight;
-  tight.max_cycle = 10;
-  expect_rejected("cycle 11\n", 1, "cycle beyond custom max_cycle", tight);
-  EXPECT_EQ(parse_text("cycle 10\nset wen 1\n", tight).size(), 11u);
+  const std::string last = std::to_string(kMaxStimulusCycle);
+  expect_rejected("cycle " + std::to_string(kMaxStimulusCycle + 1) + "\n", 1,
+                  "cycle beyond the limit");
+  EXPECT_EQ(parse_text("cycle " + last + "\nset wen 1\n").size(),
+            kMaxStimulusCycle + 1);
   // A line longer than the cap is rejected, never buffered or truncated.
-  tight.max_line_bytes = 32;
-  expect_rejected("cycle 0\n# " + std::string(64, 'x') + "\n", 2,
-                  "oversized line", tight);
-  tight.max_bus_bits = 4;
-  expect_rejected("cycle 0\nbus wdata 1\n", 2, "bus wider than cap", tight);
+  const std::string at_cap = "# " + std::string(kMaxStimulusLineBytes - 2, 'x');
+  EXPECT_EQ(parse_text("cycle 0\n" + at_cap + "\nset wen 1\n").size(), 1u);
+  expect_rejected("cycle 0\n" + at_cap + "x\n", 2, "oversized line");
+  // Bus values are carried in a uint64_t: 64 bits fit, 65 do not.
+  netlist::Netlist wide("wide");
+  for (std::size_t i = 0; i <= kMaxStimulusBusBits; ++i) {
+    wide.add_net("w[" + std::to_string(i) + "]");
+    if (i < kMaxStimulusBusBits) wide.add_net("v[" + std::to_string(i) + "]");
+  }
+  EXPECT_EQ(parse_text("cycle 0\nbus v 0xffffffffffffffff\n", wide).size(),
+            1u);
+  expect_rejected("cycle 0\nbus w 1\n", 2, "bus wider than the cap", wide);
 }
 
 TEST(Stimulus, LoadReportsUnreadableFileAsIo) {

@@ -75,7 +75,7 @@ TEST(Library, AddAndLookup) {
 TEST(Characterize, AnalyticShapesAreSane) {
   const auto process = tech::default_process();
   const tech::StdCellLib cells(process);
-  const LibCell inv = characterize_analytic(cells.by_name("INV_X2"), process);
+  const LibCell inv = characterize_analytic(*cells.find("INV_X2"), process);
   ASSERT_EQ(inv.inputs.size(), 1u);
   ASSERT_EQ(inv.outputs.size(), 1u);
   ASSERT_EQ(inv.arcs.size(), 1u);
@@ -91,7 +91,7 @@ TEST(Characterize, AnalyticShapesAreSane) {
 TEST(Characterize, SequentialCellsGetConstraintsAndClockArc) {
   const auto process = tech::default_process();
   const tech::StdCellLib cells(process);
-  const LibCell dff = characterize_analytic(cells.by_name("DFF_X1"), process);
+  const LibCell dff = characterize_analytic(*cells.find("DFF_X1"), process);
   EXPECT_TRUE(dff.sequential);
   EXPECT_EQ(dff.clock_pin, "CK");
   ASSERT_FALSE(dff.arcs.empty());
@@ -109,8 +109,8 @@ TEST(Characterize, GoldenTracksAnalyticWithinTolerance) {
   const auto process = tech::default_process();
   const tech::StdCellLib cells(process);
   for (const char* name : {"INV_X2", "NAND2_X2", "NOR2_X2"}) {
-    const LibCell a = characterize_analytic(cells.by_name(name), process);
-    const LibCell g = characterize_golden(cells.by_name(name), process);
+    const LibCell a = characterize_analytic(*cells.find(name), process);
+    const LibCell g = characterize_golden(*cells.find(name), process);
     const double da = a.arcs[0].delay.lookup(20 * ps, 15 * fF);
     const double dg = g.arcs[0].delay.lookup(20 * ps, 15 * fF);
     EXPECT_NEAR(da / dg, 1.0, 0.35) << name;
@@ -121,7 +121,7 @@ TEST(Characterize, GoldenRejectsUnsupportedFunctions) {
   const auto process = tech::default_process();
   const tech::StdCellLib cells(process);
   try {
-    characterize_golden(cells.by_name("XOR2_X1"), process);
+    characterize_golden(*cells.find("XOR2_X1"), process);
     FAIL() << "expected rejection";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kInvalidConfig);
@@ -132,7 +132,7 @@ TEST(Characterize, GoldenReportsCleanStatsOnHealthyCells) {
   const auto process = tech::default_process();
   const tech::StdCellLib cells(process);
   CharacterizeStats stats;
-  characterize_golden(cells.by_name("INV_X1"), process, &stats);
+  characterize_golden(*cells.find("INV_X1"), process, &stats);
   EXPECT_GT(stats.grid_points, 0);
   EXPECT_EQ(stats.fallback_points, 0);
   EXPECT_TRUE(stats.clean());
@@ -144,7 +144,7 @@ TEST(Characterize, SickPointsDegradeToAnalyticInsteadOfAborting) {
   // model (and be flagged), not abort library generation.
   const auto process = tech::default_process();
   const tech::StdCellLib cells(process);
-  tech::StdCell weak = cells.by_name("INV_X1");
+  tech::StdCell weak = *cells.find("INV_X1");
   weak.drive = 1e-12;  // every point trips the step budget or never switches
   CharacterizeStats stats;
   LibCell lib_cell;
@@ -316,8 +316,8 @@ TEST(Writer, ParserRejectsGarbage) {
   const auto process = tech::default_process();
   const tech::StdCellLib cells(process);
   Library lib("rt");
-  lib.add(characterize_analytic(cells.by_name("INV_X1"), process));
-  lib.add(characterize_analytic(cells.by_name("DFF_X1"), process));
+  lib.add(characterize_analytic(*cells.find("INV_X1"), process));
+  lib.add(characterize_analytic(*cells.find("DFF_X1"), process));
   const std::string text = to_liberty_string(lib);
   ASSERT_NO_THROW(parse_liberty(text));
 
@@ -380,7 +380,7 @@ TEST(Writer, StrictReaderParsesOrRejectsEveryPrefixAndMutation) {
   const tech::StdCellLib cells(process);
   Library lib("fuzz");
   for (const char* name : {"INV_X1", "NAND2_X2", "DFF_X1"})
-    lib.add(characterize_analytic(cells.by_name(name), process));
+    lib.add(characterize_analytic(*cells.find(name), process));
   lib.add(brick::make_brick_libcell(brick::compile_brick(
       {tech::BitcellKind::kCamNor10T, 16, 10, 1}, process)));
   const std::string text = to_liberty_string(lib);

@@ -23,6 +23,7 @@
 #include "util/error.hpp"
 #include "lim/smart_memory.hpp"
 #include "lim/sram_builder.hpp"
+#include "synth/synth.hpp"
 #include "tech/process.hpp"
 #include "util/jsonl.hpp"
 #include "util/rng.hpp"
@@ -478,11 +479,44 @@ TEST(Yield, FullAnalysisConfigEPostRepairBeatsFunctional) {
   EXPECT_DOUBLE_EQ(again.mean_spares_used, res.mean_spares_used);
 }
 
+/// Replays one chip's post-repair overlay through the scalar settle engine
+/// for the trace analyze_yield_full verifies with; true when every read
+/// matches the fault-free golden.
+bool scalar_replay_matches_golden(
+    const SramDesign& d, const tech::StdCellLib& cells,
+    const std::vector<SramCycle>& trace,
+    const std::shared_ptr<const fault::FaultMap>& faults) {
+  const int rows = d.config.rows_per_bank();
+  const int code_bits = d.config.code_bits();
+  netlist::Simulator golden(d.nl, cells);
+  netlist::Simulator chip(d.nl, cells);
+  for (std::size_t b = 0; b < d.banks.size(); ++b) {
+    golden.attach(d.banks[b], std::make_shared<SramBankModel>(rows, code_bits));
+    auto m = std::make_shared<SramBankModel>(rows, code_bits);
+    m->set_faults(faults, static_cast<int>(b));
+    chip.attach(d.banks[b], std::move(m));
+  }
+  bool match = true;
+  for (const SramCycle& t : trace) {
+    for (netlist::Simulator* sim : {&golden, &chip}) {
+      sim->set_bus(d.raddr, t.raddr);
+      sim->set_bus(d.waddr, t.waddr);
+      sim->set_bus(d.wdata, t.wdata);
+      sim->set_input(d.wen, t.wen);
+      sim->settle();
+      sim->clock_edge();
+    }
+    match = match && chip.bus_value(d.rdata) == golden.bus_value(d.rdata);
+  }
+  return match;
+}
+
 /// Functional replay verification: every chip the allocator calls
 /// repairable must actually read back golden data through the gate-level
 /// simulation with its post-repair fault overlay installed — and the
-/// 63-chips-per-pass bit-plane path must return the exact verdicts the
-/// one-chip-at-a-time scalar replay does.
+/// 63-chips-per-pass bit-plane verdicts must be the ones a one-chip-at-a-
+/// time scalar replay of the same chips (redrawn here from the seed)
+/// gives.
 TEST(Yield, VerifyReplayBatchMatchesScalar) {
   Ctx ctx;
   SramConfig cfg{32, 8, 2, 16};
@@ -498,25 +532,41 @@ TEST(Yield, VerifyReplayBatchMatchesScalar) {
   EXPECT_EQ(batched.verified, batched.repaired_good);
   ASSERT_GT(batched.verified, 63);  // needs >1 bit-plane group to matter
   EXPECT_LT(batched.verified, opt.chips);  // some chips unrepairable
-  // The standard SRAM design binds to the kernel; nothing falls back.
-  EXPECT_EQ(batched.verify_batched, batched.verified);
   // Repair + ECC genuinely deliver: every repairable chip replays clean.
   EXPECT_EQ(batched.verified_good, batched.verified);
   ASSERT_EQ(batched.chip_verified.size(),
             static_cast<std::size_t>(opt.chips));
 
-  opt.verify_batch = false;
-  const FullYieldResult scalar = analyze_yield_full(cfg, ctx.process, opt);
-  EXPECT_EQ(scalar.verify_batched, 0);
-  EXPECT_EQ(scalar.verified, batched.verified);
-  EXPECT_EQ(scalar.verified_good, batched.verified_good);
-  EXPECT_EQ(scalar.chip_verified, batched.chip_verified);
+  // Redraw every chip as analyze_yield_full does (process sample, then
+  // defects, from one stream) and replay the repairable ones one by one.
+  SramDesign design = build_sram(cfg, ctx.process, ctx.cells);
+  synth::synthesize(design.nl, design.lib, ctx.cells);
+  const std::vector<SramCycle> trace =
+      random_cycles(design, opt.verify_cycles, kYieldVerifySeed);
+  const fault::ArrayGeometry geom = array_geometry(cfg, ctx.process);
+  Rng rng(opt.seed);
+  std::vector<std::uint8_t> scalar(static_cast<std::size_t>(opt.chips), 0);
+  int repairable = 0;
+  for (int i = 0; i < opt.chips; ++i) {
+    (void)ctx.process.monte_carlo_chip(rng);
+    auto map = std::make_shared<fault::FaultMap>(
+        geom,
+        fault::sample_defects(geom, opt.defect_density_per_m2,
+                              ctx.process.defect_cluster_alpha, rng));
+    const fault::RepairResult rr = fault::allocate_repairs(*map, cfg.ecc);
+    if (!rr.repairable) continue;
+    ++repairable;
+    map->apply_repair(rr);
+    scalar[static_cast<std::size_t>(i)] =
+        scalar_replay_matches_golden(design, ctx.cells, trace, map) ? 1 : 0;
+  }
+  EXPECT_EQ(repairable, batched.verified);
+  EXPECT_EQ(scalar, batched.chip_verified);
 
   // verify_cycles = 0 keeps the analytic-only behavior.
   opt.verify_cycles = 0;
   const FullYieldResult off = analyze_yield_full(cfg, ctx.process, opt);
   EXPECT_EQ(off.verified, 0);
-  EXPECT_EQ(off.verify_batched, 0);
   EXPECT_TRUE(off.chip_verified.empty());
 }
 

@@ -276,8 +276,8 @@ TEST(SeuCampaign, ReportIsByteIdenticalAcrossWorkerCounts) {
   const CampaignResult parallel = run_campaign(b.rig, b.process, opt);
   EXPECT_EQ(format_campaign_report(serial, b.design.config),
             format_campaign_report(parallel, b.design.config));
-  EXPECT_TRUE(serial.complete());
-  EXPECT_TRUE(parallel.complete());
+  EXPECT_EQ(serial.completed, serial.samples);
+  EXPECT_EQ(parallel.completed, parallel.samples);
 }
 
 std::string read_file(const std::string& path) {
@@ -405,13 +405,13 @@ TEST(SeuCampaign, CancelStopsCleanlyAndResumeReproducesTheReport) {
   opt.run.cancel = &cancel;
   const CampaignResult cut = run_campaign(b.rig, b.process, opt);
   EXPECT_TRUE(cut.provenance.interrupted);
-  EXPECT_FALSE(cut.complete());
+  EXPECT_LT(cut.completed, cut.samples);
 
   cancel.store(false);
   opt.run.resume = true;
   const CampaignResult resumed = run_campaign(b.rig, b.process, opt);
   EXPECT_FALSE(resumed.provenance.interrupted);
-  EXPECT_TRUE(resumed.complete());
+  EXPECT_EQ(resumed.completed, resumed.samples);
   EXPECT_EQ(format_campaign_report(resumed, b.design.config), want);
   std::remove(journal.c_str());
 }
@@ -453,8 +453,8 @@ TEST(SeuCampaign, SecdedShiftsSdcToCorrectedWithConfidence) {
   opt.run.jobs = 4;
   const CampaignResult r0 = run_campaign(plain.rig, plain.process, opt);
   const CampaignResult r1 = run_campaign(ecc.rig, ecc.process, opt);
-  ASSERT_TRUE(r0.complete());
-  ASSERT_TRUE(r1.complete());
+  ASSERT_EQ(r0.completed, r0.samples);
+  ASSERT_EQ(r1.completed, r1.samples);
   EXPECT_GT(r0.rate(Outcome::kSdc), r1.rate(Outcome::kSdc));
   EXPECT_FALSE(
       r0.interval(Outcome::kSdc).overlaps(r1.interval(Outcome::kSdc)));
@@ -525,6 +525,9 @@ TEST(SeuBatch, RejectsSetSpecsAndOversizedGroups) {
 }
 
 TEST(SeuBatch, BatchedCampaignReportIsByteIdenticalToScalar) {
+  // The report is a function of the ordered sample records alone, so a
+  // campaign whose every batched record is the scalar event engine's
+  // classification of the same spec renders the scalar report.
   for (const bool ecc : {false, true}) {
     RigBundle b(config_c(ecc), 24);
     CampaignOptions opt;
@@ -532,8 +535,6 @@ TEST(SeuBatch, BatchedCampaignReportIsByteIdenticalToScalar) {
     opt.seed = 21;
     opt.run.jobs = 2;
     const CampaignResult batched = run_campaign(b.rig, b.process, opt);
-    opt.batch = false;
-    const CampaignResult scalar = run_campaign(b.rig, b.process, opt);
     // The kernel must actually engage (not silently fall back) and must
     // classify every macro-bit and flop sample.
     EXPECT_EQ(batched.kernel, "bitplane");
@@ -542,17 +543,31 @@ TEST(SeuBatch, BatchedCampaignReportIsByteIdenticalToScalar) {
         batched.strata[static_cast<int>(SiteKind::kFlop)].samples;
     EXPECT_EQ(static_cast<std::uint64_t>(batched.batched), batchable);
     EXPECT_GT(batched.batched, 0);
-    EXPECT_EQ(scalar.batched, 0);
-    EXPECT_EQ(scalar.kernel, "scalar (disabled)");
-    EXPECT_EQ(format_campaign_report(batched, b.design.config),
-              format_campaign_report(scalar, b.design.config));
+
+    const GoldenRun golden = run_golden(b.rig);
+    const SitePlan plan = enumerate_sites(b.rig);
+    int compared = 0;
+    for (int i = 0; i < opt.samples; ++i) {
+      const InjectionSpec spec = plan_sample(b.rig, plan, opt, i);
+      const SampleRecord& rec = batched.records[static_cast<std::size_t>(i)];
+      ASSERT_EQ(rec.kind, spec.site.kind) << "sample " << i;
+      if (spec.site.kind == SiteKind::kSetPulse) continue;  // never batched
+      const InjectionResult scalar = run_injection(b.rig, golden, spec);
+      EXPECT_EQ(rec.outcome, scalar.outcome) << "sample " << i << " "
+                                             << rec.site;
+      EXPECT_EQ(rec.latent, scalar.latent) << "sample " << i;
+      EXPECT_EQ(rec.detail, scalar.detail) << "sample " << i;
+      ++compared;
+    }
+    EXPECT_EQ(static_cast<std::uint64_t>(compared), batchable);
   }
 }
 
 TEST(SeuBatch, ScalarJournalResumesIntoBatchedCampaign) {
-  // Journals never fingerprint the kernel choice: a half-finished scalar
-  // campaign resumes under the batch kernel (and vice versa) and renders
-  // the byte-identical report.
+  // Journals never fingerprint the kernel choice: a journal whose first
+  // samples the scalar event engine classified (written here in the
+  // journal's line format) resumes under the batch kernel and renders the
+  // uninterrupted campaign's byte-identical report.
   RigBundle b(config_a(false), 16);
   const std::string journal =
       testing::TempDir() + "seu_batch_interop_journal.jsonl";
@@ -562,28 +577,34 @@ TEST(SeuBatch, ScalarJournalResumesIntoBatchedCampaign) {
   opt.samples = 80;
   opt.seed = 23;
   opt.run.jobs = 1;
-  opt.batch = false;
-  opt.run.journal_path = journal;
-  const CampaignResult scalar = run_campaign(b.rig, b.process, opt);
-  const std::string want = format_campaign_report(scalar, b.design.config);
+  const CampaignResult full = run_campaign(b.rig, b.process, opt);
+  const std::string want = format_campaign_report(full, b.design.config);
 
-  std::vector<std::string> lines;
-  {
-    std::ifstream in(journal);
-    std::string line;
-    while (std::getline(in, line)) lines.push_back(line);
-  }
-  ASSERT_EQ(lines.size(), 80u);
+  const GoldenRun golden = run_golden(b.rig);
+  const SitePlan plan = enumerate_sites(b.rig);
   {
     std::ofstream out(journal, std::ios::trunc);
-    for (std::size_t i = 0; i < 30; ++i) out << lines[i] << "\n";
+    for (int i = 0; i < 30; ++i) {
+      const InjectionSpec spec = plan_sample(b.rig, plan, opt, i);
+      const InjectionResult r = run_injection(b.rig, golden, spec);
+      out << "{\"campaign\":\"" << full.key << "\",\"sample\":" << i
+          << ",\"kind\":\"" << site_kind_name(spec.site.kind)
+          << "\",\"site\":\""
+          << jsonl::json_escape(spec.site.describe(b.design.nl))
+          << "\",\"cycle\":" << spec.cycle << ",\"outcome\":\""
+          << outcome_name(r.outcome)
+          << "\",\"latent\":" << (r.latent ? "true" : "false")
+          << ",\"detail\":\"" << jsonl::json_escape(r.detail) << "\"}\n";
+    }
   }
 
-  opt.batch = true;
+  opt.run.journal_path = journal;
   opt.run.resume = true;
   const CampaignResult resumed = run_campaign(b.rig, b.process, opt);
   EXPECT_EQ(resumed.provenance.resumed, 30);
   EXPECT_EQ(resumed.provenance.computed, 50);
+  EXPECT_EQ(resumed.provenance.stale, 0);
+  EXPECT_EQ(resumed.provenance.malformed, 0);
   EXPECT_EQ(format_campaign_report(resumed, b.design.config), want);
   std::remove(journal.c_str());
 }

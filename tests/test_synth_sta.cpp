@@ -173,14 +173,18 @@ TEST(Sta, ParasiticsSlowTheDesign) {
   Ctx ctx;
   AdderDesign d = make_adder(ctx);
   synth::synthesize(d.nl, ctx.lib, ctx.cells);
+  const BoundDesign bound(d.nl, ctx.lib);
+  const place::Floorplan fp = place::place_design(bound, ctx.process);
+  // Idealized wireless baseline: the same placement with every net's
+  // extracted wire capacitance and resistance zeroed.
+  place::Floorplan wireless = fp;
+  for (place::NetParasitics& p : wireless.parasitics) p = {};
   sta::StaOptions zero_wire;
-  zero_wire.prelayout_cap_per_sink = 0.0;  // idealized wireless baseline
-  const sta::StaResult ideal =
-      sta::run_sta(BoundDesign(d.nl, ctx.lib), zero_wire);
-  const place::Floorplan fp = place::place_design(d.nl, ctx.lib, ctx.process);
+  zero_wire.floorplan = &wireless;
+  const sta::StaResult ideal = sta::run_sta(bound, zero_wire);
   sta::StaOptions opt;
   opt.floorplan = &fp;
-  const sta::StaResult wired = sta::run_sta(BoundDesign(d.nl, ctx.lib), opt);
+  const sta::StaResult wired = sta::run_sta(bound, opt);
   EXPECT_LT(wired.fmax(), ideal.fmax());
 }
 
@@ -215,7 +219,8 @@ TEST(Place, FloorplanGeometryIsSane) {
   Ctx ctx;
   AdderDesign d = make_adder(ctx);
   synth::synthesize(d.nl, ctx.lib, ctx.cells);
-  const place::Floorplan fp = place::place_design(d.nl, ctx.lib, ctx.process);
+  const place::Floorplan fp =
+      place::place_design(BoundDesign(d.nl, ctx.lib), ctx.process);
   EXPECT_GT(fp.width, 0.0);
   EXPECT_GT(fp.height, 0.0);
   EXPECT_GT(fp.cell_area, 0.0);
@@ -236,7 +241,8 @@ TEST(Place, ConnectedCellsEndUpCloser) {
   Ctx ctx;
   AdderDesign d = make_adder(ctx);
   synth::synthesize(d.nl, ctx.lib, ctx.cells);
-  const place::Floorplan fp = place::place_design(d.nl, ctx.lib, ctx.process);
+  const place::Floorplan fp =
+      place::place_design(BoundDesign(d.nl, ctx.lib), ctx.process);
   // Average connected-pair distance should be well below the die diagonal.
   double sum = 0.0;
   int n = 0;

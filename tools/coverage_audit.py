@@ -47,12 +47,12 @@ CLI = [
     " --journal c.jsonl --report r.txt",
     "seu 64 10 1 16 --ecc --campaign 100 --cycles 30 --workers 2 --seed 7"
     " --resume c.jsonl --report r.txt",
-    "seu 64 10 1 16 --campaign 60 --cycles 30 --workers 2 --no-batch"
-    " --burst 2 --spares 1",
+    "seu 64 10 1 16 --campaign 60 --cycles 30 --workers 2 --burst 2"
+    " --spares 1",
     "optimize 64 8 300", "optimize 64 8 300 area", "spgemm 6 4",
     "yield 128 10 4 16 --chips 100 --seed 7 --d0 20000 --spares 2 --ecc"
     " --verify-cycles 20",
-    "yield 64 8 1 16 --chips 20 --no-batch --verify-cycles 10",
+    "yield 64 8 1 16 --chips 20 --verify-cycles 10",
     "",  # no subcommand: the usage text
     "dse 64 8 --jbos 4",
 ]

@@ -506,14 +506,13 @@ int cmd_seu(const args::Args& a) {
   copt.run.jobs = a.get_int("--workers", 1);
   copt.burst = a.get_int("--burst", 1);
   copt.run.timeout_seconds = a.get_double("--timeout", 0.0);
-  copt.batch = !a.has("--no-batch");
   copt.run.cancel = &g_interrupted;
   read_journal_flags(a, copt.run);
 
   const seu::CampaignResult res = seu::run_campaign(rig, process, copt);
   // Provenance goes to stderr so the report itself stays byte-identical
-  // between an uninterrupted run and a kill-and-resume (and between the
-  // batched and scalar kernels).
+  // between an uninterrupted run and a kill-and-resume (and whichever
+  // kernel classified each sample).
   const jsonl::Provenance& prov = res.provenance;
   std::fprintf(stderr, "# seu kernel: %s (%d of %d samples batched)\n",
                res.kernel.c_str(), res.batched, prov.computed);
@@ -603,14 +602,12 @@ int cmd_yield(const args::Args& a) {
   const double d0_cm2 = a.get_double("--d0", -1.0);
   if (d0_cm2 >= 0.0) opt.defect_density_per_m2 = d0_cm2 * 1e4;
   opt.verify_cycles = a.get_int("--verify-cycles", 0);
-  opt.verify_batch = !a.has("--no-batch");
 
   const lim::FullYieldResult res = lim::analyze_yield_full(cfg, process, opt);
   if (opt.verify_cycles > 0)
     std::fprintf(stderr,
-                 "# yield verify: %d chips replayed (%d batched),"
-                 " %d matched golden\n",
-                 res.verified, res.verify_batched, res.verified_good);
+                 "# yield verify: %d chips replayed, %d matched golden\n",
+                 res.verified, res.verified_good);
   std::printf("# config=%s chips=%d seed=%llu d0=%.3f/cm2 spares=%d ecc=%d\n",
               cfg.name().c_str(), res.chips,
               static_cast<unsigned long long>(opt.seed),
@@ -667,7 +664,7 @@ const Subcommand kSubcommands[] = {
                       {"--resume", kString, "FILE"},
                       {"--report", kString, "FILE"},
                       {"--timeout", kDouble, "SEC"},
-                      {"--run-timeout", kDouble, "SEC"}, {"--no-batch"}})},
+                      {"--run-timeout", kDouble, "SEC"}})},
      cmd_seu},
     {{"optimize",
       {{"words", kInt}, {"bits", kInt}, {"min_fmax_MHz", kDouble},
@@ -678,7 +675,7 @@ const Subcommand kSubcommands[] = {
       sram_shape_and({{"--chips", kInt, "N"}, {"--seed", kU64, "S"},
                       {"--d0", kDouble, "defects_per_cm2"},
                       {"--spares", kInt, "N"}, {"--ecc"},
-                      {"--verify-cycles", kInt, "N"}, {"--no-batch"}})},
+                      {"--verify-cycles", kInt, "N"}})},
      cmd_yield},
     {{"repro", {{"--check"}}}, cmd_repro},
 };

@@ -652,7 +652,8 @@ Plan ablation_litho(const Inputs& in, std::uint64_t /*seed*/) {
         synth::synthesize(d.nl, d.lib, in.cells);
         place::PlaceOptions popt;
         popt.macro_halo = halo;
-        c.area[h] = place::place_design(d.nl, d.lib, in.process, popt).area;
+        const netlist::BoundDesign bound(d.nl, d.lib);
+        c.area[h] = place::place_design(bound, in.process, popt).area;
       });
   plan.finish = [cases](Sheet& s) {
     const auto abutment = [](tech::PatternClass logic) {
