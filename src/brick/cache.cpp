@@ -51,7 +51,6 @@ std::shared_ptr<const CompiledBrick> BrickCache::get(
   if (store) {
     if (std::shared_ptr<const CompiledBrick> loaded = store->load(key)) {
       const std::lock_guard<std::mutex> lock(mu_);
-      ++disk_hits_;
       return map_.emplace(key, std::move(loaded)).first->second;
     }
   }
@@ -70,11 +69,6 @@ std::shared_ptr<const CompiledBrick> BrickCache::get(
   if (store) store->save(key, *compiled);  // best-effort, never throws
   const std::lock_guard<std::mutex> lock(mu_);
   return map_.emplace(key, std::move(compiled)).first->second;
-}
-
-std::uint64_t BrickCache::disk_hits() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return disk_hits_;
 }
 
 void BrickCache::attach_store(std::shared_ptr<BrickStore> store) {
@@ -107,7 +101,6 @@ void BrickCache::clear() {
   map_.clear();
   hits_ = 0;
   misses_ = 0;
-  disk_hits_ = 0;
 }
 
 BrickCache& BrickCache::global() {

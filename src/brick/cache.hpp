@@ -56,9 +56,6 @@ class BrickCache {
 
   std::uint64_t hits() const;
   std::uint64_t misses() const;
-  /// Memory misses that were served from the attached disk store (a
-  /// subset of misses(): no compilation happened for these).
-  std::uint64_t disk_hits() const;
   std::size_t size() const;
   /// Drops every in-memory entry and resets the hit/miss counters
   /// (benchmarks use this to measure cold-vs-warm sweeps). An attached
@@ -81,7 +78,6 @@ class BrickCache {
   std::shared_ptr<BrickStore> store_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
-  std::uint64_t disk_hits_ = 0;
 };
 
 }  // namespace limsynth::brick

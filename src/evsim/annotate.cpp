@@ -206,11 +206,4 @@ TimingAnnotation annotate_delays(const BoundDesign& bd,
   return ann;
 }
 
-TimingAnnotation annotate_delays(const Netlist& nl,
-                                 const liberty::Library& lib,
-                                 const tech::StdCellLib& cells,
-                                 const AnnotateOptions& opt) {
-  return annotate_delays(BoundDesign(nl, lib), cells, opt);
-}
-
 }  // namespace limsynth::evsim

@@ -93,11 +93,4 @@ TimingAnnotation annotate_delays(const netlist::BoundDesign& bound,
                                  const tech::StdCellLib& cells,
                                  const AnnotateOptions& options = {});
 
-/// Convenience: binds and annotates. Throws when the netlist references
-/// cells missing from `lib` or when a cell lacks its expected timing arcs.
-TimingAnnotation annotate_delays(const netlist::Netlist& nl,
-                                 const liberty::Library& lib,
-                                 const tech::StdCellLib& cells,
-                                 const AnnotateOptions& options = {});
-
 }  // namespace limsynth::evsim

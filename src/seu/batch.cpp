@@ -18,9 +18,8 @@ std::uint64_t burst_mask(int bit, int burst, int width) {
 }  // namespace
 
 BatchKernel::BatchKernel(const SeuRig& rig) {
-  const lim::SramDesign& d = *rig.design;
-  bound_ = std::make_unique<netlist::BoundDesign>(d.nl, d.lib);
-  program_ = std::make_unique<bitsim::BatchProgram>(*bound_, *rig.cells);
+  LIMS_CHECK_MSG(rig.bound != nullptr, "batch kernel needs the rig's binding");
+  program_ = std::make_unique<bitsim::BatchProgram>(*rig.bound, *rig.cells);
 }
 
 std::vector<InjectionResult> run_batch(

@@ -32,19 +32,17 @@ namespace limsynth::seu {
 /// resident golden).
 inline constexpr int kBatchSamples = bitsim::kLanes - 1;
 
-/// Bind-once batch artifact for a rig: the BoundDesign and the levelized
-/// BatchProgram, shared const across campaign workers. Throws
+/// Build-once batch artifact for a rig: the BatchProgram levelized from
+/// the rig's binding, shared const across campaign workers. Throws
 /// Error(kInvalidConfig / kNonConvergence) when the design falls outside
 /// the bit-plane kernel's domain.
 class BatchKernel {
  public:
   explicit BatchKernel(const SeuRig& rig);
 
-  const netlist::BoundDesign& bound() const { return *bound_; }
   const bitsim::BatchProgram& program() const { return *program_; }
 
  private:
-  std::unique_ptr<netlist::BoundDesign> bound_;
   std::unique_ptr<bitsim::BatchProgram> program_;
 };
 

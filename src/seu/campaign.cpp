@@ -277,6 +277,9 @@ CampaignResult run_campaign(const SeuRig& rig, const tech::Process& process,
   LIMS_CHECK_MSG(opt.burst > 0, "burst must flip at least one bit");
   LIMS_CHECK_MSG(rig.trace != nullptr && rig.trace->size() > 0,
                  "campaign needs a non-empty stimulus trace");
+  LIMS_CHECK_MSG(rig.bound != nullptr &&
+                     &rig.bound->netlist() == &rig.design->nl,
+                 "campaign needs the binding of its design's netlist");
 
   CampaignResult res;
   res.samples = opt.samples;
@@ -304,13 +307,14 @@ CampaignResult run_campaign(const SeuRig& rig, const tech::Process& process,
   // run as scalar singletons. Workers claim whole units; the executor
   // still journals their samples in sample order. The executor plans only
   // after it has opened the journal, so the golden replay and the kernel
-  // bind below never run for a journal that cannot be written.
+  // build below never run for a journal that cannot be written.
   const auto plan_units = [&](const std::vector<std::size_t>& todo) {
     golden = run_golden(rig);
-    // Batch kernel: bind once, share const across workers. Designs the
-    // bit-plane kernel cannot express leave every sample on the scalar
-    // event engine; the choice is recorded as provenance only and never
-    // fingerprinted, so reports and journals stay interoperable.
+    // Batch kernel: levelize the rig's binding once, share const across
+    // workers. Designs the bit-plane kernel cannot express leave every
+    // sample on the scalar event engine; the choice is recorded as
+    // provenance only and never fingerprinted, so reports and journals
+    // stay interoperable.
     try {
       kernel = std::make_unique<BatchKernel>(rig);
       res.kernel = "bitplane";

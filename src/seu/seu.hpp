@@ -86,10 +86,13 @@ struct InjectionSpec {
 };
 
 /// Everything a run needs, shared immutably across campaign workers.
-/// Each run builds its own EventSimulator; design/cells/ann/trace are
-/// only ever read.
+/// Each run builds its own EventSimulator; design/bound/cells/ann/trace
+/// are only ever read.
 struct SeuRig {
   const lim::SramDesign* design = nullptr;
+  /// The caller's one binding of design->nl, which `ann` was annotated
+  /// from and the batch kernel levelizes.
+  const netlist::BoundDesign* bound = nullptr;
   const tech::StdCellLib* cells = nullptr;
   const evsim::TimingAnnotation* ann = nullptr;
   const evsim::StimulusTrace* trace = nullptr;

@@ -10,7 +10,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <dirent.h>
 #include <unistd.h>
 
 namespace limsynth::fs {
@@ -155,11 +154,6 @@ class RealFs : public Fs {
     return IoStatus::good();
   }
 
-  IoStatus remove_dir(const std::string& path) override {
-    if (::rmdir(path.c_str()) != 0) return errno_status("rmdir", path);
-    return IoStatus::good();
-  }
-
   IoStatus make_dirs(const std::string& path) override {
     if (path.empty()) return IoStatus::good();
     std::string prefix;
@@ -185,20 +179,6 @@ class RealFs : public Fs {
 
   bool writable(const std::string& path) override {
     return ::access(path.c_str(), W_OK) == 0;
-  }
-
-  IoStatus list_dir(const std::string& path,
-                    std::vector<std::string>* names) override {
-    names->clear();
-    DIR* dir = ::opendir(path.c_str());
-    if (!dir) return errno_status("opendir", path);
-    while (const dirent* entry = ::readdir(dir)) {
-      const std::string name = entry->d_name;
-      if (name != "." && name != "..") names->push_back(name);
-    }
-    ::closedir(dir);
-    std::sort(names->begin(), names->end());
-    return IoStatus::good();
   }
 
   IoStatus lock_exclusive(const std::string& path, int* handle) override {
@@ -253,28 +233,6 @@ const char* io_err_name(IoErr err) {
 Fs& Fs::real() {
   static RealFs fs;
   return fs;
-}
-
-IoStatus remove_tree(Fs& io, const std::string& path) {
-  if (!io.exists(path)) return IoStatus::good();
-  IoStatus first = IoStatus::good();
-  std::vector<std::string> names;
-  const IoStatus ls = io.list_dir(path, &names);
-  if (!ls.ok()) {
-    // Not a directory (or unreadable): try a plain unlink.
-    const IoStatus rm = io.remove_file(path);
-    return rm.ok() ? rm : ls;
-  }
-  for (const std::string& name : names) {
-    const std::string child = path + "/" + name;
-    std::vector<std::string> sub;
-    IoStatus st = io.list_dir(child, &sub).ok() ? remove_tree(io, child)
-                                                : io.remove_file(child);
-    if (!st.ok() && first.ok()) first = st;
-  }
-  const IoStatus rd = io.remove_dir(path);
-  if (!rd.ok() && first.ok()) first = rd;
-  return first;
 }
 
 // --- FaultFs ------------------------------------------------------------
@@ -337,10 +295,6 @@ IoStatus FaultFs::remove_file(const std::string& path) {
   return base_.remove_file(path);
 }
 
-IoStatus FaultFs::remove_dir(const std::string& path) {
-  return base_.remove_dir(path);
-}
-
 IoStatus FaultFs::make_dirs(const std::string& path) {
   if (fail_mkdirs)
     return IoStatus::fail(IoErr::kAccess, "injected mkdir EACCES: " + path);
@@ -354,11 +308,6 @@ bool FaultFs::writable(const std::string& path) {
   // come as a pair on a real read-only filesystem.
   if (fail_mkdirs) return false;
   return base_.writable(path);
-}
-
-IoStatus FaultFs::list_dir(const std::string& path,
-                           std::vector<std::string>* names) {
-  return base_.list_dir(path, names);
 }
 
 IoStatus FaultFs::lock_exclusive(const std::string& path, int* handle) {

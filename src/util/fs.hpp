@@ -13,14 +13,13 @@
 // failure model, not just its happy path.
 //
 // Errors are returned as IoStatus values, not exceptions: callers in the
-// degradation path (the store, benches) must be able to classify and
-// absorb a failure without unwinding.
+// degradation path (the store) must be able to classify and absorb a
+// failure without unwinding.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace limsynth::fs {
 
@@ -78,9 +77,6 @@ class Fs {
 
   virtual IoStatus remove_file(const std::string& path) = 0;
 
-  /// Removes an (empty) directory.
-  virtual IoStatus remove_dir(const std::string& path) = 0;
-
   /// mkdir -p. Success when the directory already exists.
   virtual IoStatus make_dirs(const std::string& path) = 0;
 
@@ -90,11 +86,6 @@ class Fs {
   /// Advisory — a disk can still fill or a mount flip read-only later —
   /// but lets callers degrade up front instead of on the first write.
   virtual bool writable(const std::string& path) = 0;
-
-  /// Names (not paths) of entries in `path`, excluding "." and "..",
-  /// sorted for determinism.
-  virtual IoStatus list_dir(const std::string& path,
-                            std::vector<std::string>* names) = 0;
 
   /// Non-blocking advisory exclusive lock on `path` (created if absent).
   /// kBusy when another writer holds it. On success `*handle` must later
@@ -126,10 +117,6 @@ class ScopedLock {
   int handle_ = -1;
   IoStatus status_;
 };
-
-/// Recursively deletes `path` (files and subdirectories). Best effort:
-/// returns the first failure but keeps deleting siblings.
-IoStatus remove_tree(Fs& io, const std::string& path);
 
 /// Fault-injecting decorator. Each knob arms a one-shot or counted
 /// injection consumed by the next matching operation; unarmed operations
@@ -169,12 +156,9 @@ class FaultFs : public Fs {
                              const std::string& data) override;
   IoStatus rename_file(const std::string& from, const std::string& to) override;
   IoStatus remove_file(const std::string& path) override;
-  IoStatus remove_dir(const std::string& path) override;
   IoStatus make_dirs(const std::string& path) override;
   bool exists(const std::string& path) override;
   bool writable(const std::string& path) override;
-  IoStatus list_dir(const std::string& path,
-                    std::vector<std::string>* names) override;
   IoStatus lock_exclusive(const std::string& path, int* handle) override;
   void unlock(int handle) override;
 

@@ -202,8 +202,7 @@ TEST(Fuzz, EventEngineDefiniteValuesMatchLanesUnderXInit) {
   const netlist::BoundDesign bd(d.nl, ctx.lib);
   const BatchProgram prog(bd, ctx.cells);
   BatchSim batch(prog);
-  const evsim::TimingAnnotation ann =
-      evsim::annotate_delays(d.nl, ctx.lib, ctx.cells);
+  const evsim::TimingAnnotation ann = evsim::annotate_delays(bd, ctx.cells);
   evsim::EvsimOptions opt;  // quiesce mode, x_init = true
   evsim::EventSimulator ev(d.nl, ctx.cells, ann, opt);
 

@@ -26,6 +26,7 @@
 namespace limsynth::evsim {
 namespace {
 
+using netlist::BoundDesign;
 using netlist::Builder;
 using netlist::Netlist;
 using netlist::NetId;
@@ -114,7 +115,8 @@ TEST(Evsim, PropagatedHazardPulseIsCountedAsGlitch) {
   const NetId y = b.and2(a, b.buf(b.buf(b.inv(a))));
   nl.add_port("y", netlist::PortDir::kOutput, y);
 
-  const TimingAnnotation ann = annotate_delays(nl, ctx.lib, ctx.cells);
+  const TimingAnnotation ann =
+      annotate_delays(BoundDesign(nl, ctx.lib), ctx.cells);
   EvsimOptions opt;
   opt.x_init = false;
   EventSimulator ev(nl, ctx.cells, ann, opt);
@@ -141,7 +143,8 @@ TEST(Evsim, InertialFilteringSwallowsPreemptedPulse) {
   const NetId y = b.xor2(a, c);
   nl.add_port("y", netlist::PortDir::kOutput, y);
 
-  const TimingAnnotation ann = annotate_delays(nl, ctx.lib, ctx.cells);
+  const TimingAnnotation ann =
+      annotate_delays(BoundDesign(nl, ctx.lib), ctx.cells);
   EvsimOptions opt;
   opt.x_init = false;
   EventSimulator ev(nl, ctx.cells, ann, opt);
@@ -171,7 +174,8 @@ TEST(Evsim, XInitializationFlushesThroughPipeline) {
   const auto q2 = b.registers({b.inv(q1[0])}, clk);
   nl.add_port("out", netlist::PortDir::kOutput, q2[0]);
 
-  const TimingAnnotation ann = annotate_delays(nl, ctx.lib, ctx.cells);
+  const TimingAnnotation ann =
+      annotate_delays(BoundDesign(nl, ctx.lib), ctx.cells);
   EventSimulator ev(nl, ctx.cells, ann, {});  // x_init default
   EXPECT_TRUE(is_x(ev.value(q1[0])));
   EXPECT_TRUE(is_x(ev.value(q2[0])));
@@ -195,7 +199,8 @@ SramRigs make_sram_rig(Ctx& ctx, const lim::SramConfig& cfg, int cycles,
                        std::uint64_t seed) {
   SramRigs rig{lim::build_sram(cfg, ctx.process, ctx.cells), {}, {}};
   synth::synthesize(rig.design.nl, rig.design.lib, ctx.cells);
-  rig.ann = annotate_delays(rig.design.nl, rig.design.lib, ctx.cells);
+  rig.ann =
+      annotate_delays(BoundDesign(rig.design.nl, rig.design.lib), ctx.cells);
   rig.trace = seu::random_trace(rig.design, cycles, seed);
   return rig;
 }
@@ -241,7 +246,8 @@ TEST(Evsim, CrossCheckPassesOnCamBlock) {
   lim::CamBlockConfig cfg;
   lim::CamBlockDesign d = build_cam_block(cfg, ctx.process, ctx.cells);
   synth::synthesize(d.nl, d.lib, ctx.cells);
-  const TimingAnnotation ann = annotate_delays(d.nl, d.lib, ctx.cells);
+  const TimingAnnotation ann =
+      annotate_delays(BoundDesign(d.nl, d.lib), ctx.cells);
 
   // Pipelined operations spaced 3 cycles apart (no forwarding network);
   // op_valid pulses for one cycle.
@@ -283,7 +289,8 @@ TEST(Evsim, MacroModelScriptedTraceMatchesOnBothEngines) {
   const lim::SramConfig cfg{16, 10, 1, 16};
   lim::SramDesign d = lim::build_sram(cfg, ctx.process, ctx.cells);
   synth::synthesize(d.nl, d.lib, ctx.cells);
-  const TimingAnnotation ann = annotate_delays(d.nl, d.lib, ctx.cells);
+  const TimingAnnotation ann =
+      annotate_delays(BoundDesign(d.nl, d.lib), ctx.cells);
 
   netlist::Simulator golden(d.nl, ctx.cells);
   EvsimOptions opt;
@@ -349,7 +356,7 @@ TEST(Evsim, ValidatesStaMinPeriodDynamically) {
   aopt.floorplan = &rep.floorplan;
   aopt.sta = &rep.timing;
   const TimingAnnotation ann =
-      annotate_delays(d.nl, d.lib, ctx.cells, aopt);
+      annotate_delays(BoundDesign(d.nl, d.lib), ctx.cells, aopt);
 
   // The STA-critical endpoint must exist in the annotation under the
   // exact same name STA reports.

@@ -460,6 +460,11 @@ TEST(Yield, FullAnalysisConfigEPostRepairBeatsFunctional) {
   EXPECT_LT(res.functional_yield(), 1.0);  // the process really is dirty
   EXPECT_GT(res.post_repair_yield(), res.functional_yield());  // repair works
   EXPECT_GT(res.post_repair_yield(), 0.5);
+  // The same chips with neither spares nor SECDED yield less: redundancy
+  // is what buys the repair.
+  const FullYieldResult bare =
+      analyze_yield_full(SramConfig{128, 10, 4, 16}, ctx.process, opt);
+  EXPECT_LT(bare.post_repair_yield(), res.post_repair_yield());
   // The combined curve can never beat the parametric curve, and both are
   // monotone non-increasing in frequency.
   ASSERT_FALSE(res.bins.empty());
@@ -804,12 +809,7 @@ TEST(MacroState, DefaultMacroModelExposesNoState) {
   EXPECT_THROW(model.poke(0, 1), Error);
 }
 
-
-// The in-process characterization and analysis paths. These once sat
-// behind the characterization daemon's request handler; the daemon is
-// gone, the library calls it made stay, and so do the checks.
-
-TEST(Handler, CharacterizeReturnsPositiveMetrics) {
+TEST(BrickCache, CharacterizeReturnsPositiveMetrics) {
   Ctx ctx;
   brick::BrickSpec spec;
   spec.words = 64;
@@ -824,7 +824,7 @@ TEST(Handler, CharacterizeReturnsPositiveMetrics) {
   EXPECT_GT(compiled->brick.layout.area, 0.0);
 }
 
-TEST(Handler, AnalyzeRepliesWithTheLibraryFlowReport) {
+TEST(Flow, ReportIsDeterministicAndSurvivesG17Text) {
   // Two independent build + flow runs give the same report bit for bit,
   // and its numbers survive the journals' %.17g text exactly.
   Ctx ctx;
@@ -859,7 +859,7 @@ TEST(Handler, AnalyzeRepliesWithTheLibraryFlowReport) {
   EXPECT_EQ(v, a.power.total());
 }
 
-TEST(Handler, SleepDeadlineIsResourceExhausted) {
+TEST(Watchdog, PreemptsCooperativeWaitWithResourceExhausted) {
   // A cooperative wait polling its watchdog, as the executors poll between
   // points: an 80 ms budget preempts a 30 s wait with resource_exhausted.
   const auto t0 = std::chrono::steady_clock::now();

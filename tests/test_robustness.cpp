@@ -4,12 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "brick/cache.hpp"
 #include "lim/checkpoint.hpp"
 #include "lim/dse.hpp"
 #include "lim/sram_builder.hpp"
@@ -300,10 +302,16 @@ TEST(CheckpointParallel, JournalCsvAndFrontMatchSerial) {
   parallel.jobs = 8;
   std::remove(parallel.journal_path.c_str());
 
+  // The serial sweep compiles every brick; the parallel one is served
+  // from the warm memory cache and must journal the same bytes.
+  brick::BrickCache& cache = brick::BrickCache::global();
+  cache.clear();
   const CheckpointedSweep a = sweep_partitions_checkpointed(
       choices, tech::default_process(), sopt, serial);
+  const std::uint64_t cold_hits = cache.hits();
   const CheckpointedSweep b = sweep_partitions_checkpointed(
       choices, tech::default_process(), sopt, parallel);
+  EXPECT_GT(cache.hits(), cold_hits);
 
   ASSERT_EQ(a.points.size(), choices.size());
   ASSERT_EQ(b.points.size(), choices.size());

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -30,6 +31,7 @@ struct RigBundle {
   tech::Process process = tech::default_process();
   tech::StdCellLib cells{process};
   lim::SramDesign design;
+  std::optional<netlist::BoundDesign> bound;
   evsim::TimingAnnotation ann;
   evsim::StimulusTrace trace;
   SeuRig rig;
@@ -38,9 +40,11 @@ struct RigBundle {
             std::uint64_t trace_seed = 3)
       : design(lim::build_sram(cfg, process, cells)) {
     synth::synthesize(design.nl, design.lib, cells);
-    ann = evsim::annotate_delays(design.nl, design.lib, cells);
+    bound.emplace(design.nl, design.lib);
+    ann = evsim::annotate_delays(*bound, cells);
     trace = random_trace(design, cycles, trace_seed);
     rig.design = &design;
+    rig.bound = &*bound;
     rig.cells = &cells;
     rig.ann = &ann;
     rig.trace = &trace;
@@ -422,6 +426,16 @@ TEST(SeuCampaign, RejectsImpossibleOptions) {
   opt.samples = 0;
   try {
     run_campaign(b.rig, b.process, opt);
+    FAIL() << "expected throw";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidConfig);
+  }
+  // A rig without its design's binding is refused, not run scalar.
+  opt.samples = 10;
+  SeuRig unbound = b.rig;
+  unbound.bound = nullptr;
+  try {
+    run_campaign(unbound, b.process, opt);
     FAIL() << "expected throw";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kInvalidConfig);

@@ -10,9 +10,9 @@ Configure a coverage build, then run this from the repository root:
   tools/coverage_audit.py build-cov
 
 It clears the counters, runs the shipped paths (`limsynth repro --check`,
-every `limsynth` subcommand, the examples and the executor benches'
---check runs) in a scratch directory under the build
-tree, snapshots the counters, runs tier-1 (ctest) and snapshots again.
+every `limsynth` subcommand and the examples) in a scratch directory
+under the build tree, snapshots the counters, runs tier-1 (ctest) and
+snapshots again.
 A function is one source location in src/: all template instantiations
 and inline copies of it count once, whichever target compiled them, and
 an inline function that no target instantiates is not counted. Exit codes
@@ -37,6 +37,7 @@ CLI = [
     "dse 1024 16 --chips 50 --journal j.jsonl --csv d.csv --jobs 2"
     " --cache-dir store",
     "dse 1024 16 --chips 50 --resume j.jsonl --csv d.csv --cache-dir store",
+    "dse 1024 16 --chips 50 --csv d.csv --cache-dir store",  # warm store
     "dse 256 8 --ecc --spares 2 --d0 50 --timeout 300 --seed 3",
     "sram 32 10 1 16", "sram 32 10 1 16 --verilog",
     "sram 32 10 1 16 --report", "sram 32 10 1 16 --svg",
@@ -55,12 +56,12 @@ CLI = [
     "yield 64 8 1 16 --chips 20 --verify-cycles 10",
     "",  # no subcommand: the usage text
     "dse 64 8 --jbos 4",
+    "sram 96 8 1 7",  # a failed check: words not a power of two
 ]
 STIMULUS = "cycle 0\nset wen 1\nbus wdata 0x2a\ncycle 3\nset wen 0\n"
 
 EXAMPLES = ["quickstart", "sram_design_space", "spgemm_accelerator",
             "parallel_access_memory", "interpolation_memory"]
-BENCHES = ["bench_dse", "bench_seu", "bench_yield"]
 
 
 def run(cmd, cwd):
@@ -80,8 +81,6 @@ def run_shipped(build):
         run([cli] + args.split(), work)
     for name in EXAMPLES:
         run([os.path.join(build, "examples", name)], work)
-    for name in BENCHES:
-        run([os.path.join(build, "bench", name), "--check"], work)
 
 
 def snapshot(build):

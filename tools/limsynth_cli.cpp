@@ -324,11 +324,13 @@ int cmd_simulate(const args::Args& a) {
   const lim::FlowReport rep =
       lim::run_flow(d.nl, d.lib, cells, process, {}, {}, fopt);
 
+  // One binding of the synthesized netlist serves annotation and power.
+  const netlist::BoundDesign bound(d.nl, d.lib);
   evsim::AnnotateOptions aopt;
   aopt.floorplan = &rep.floorplan;
   aopt.sta = &rep.timing;
   const evsim::TimingAnnotation ann =
-      evsim::annotate_delays(d.nl, d.lib, cells, aopt);
+      evsim::annotate_delays(bound, cells, aopt);
 
   // A --stim trace replaces the generated random workload; the parser
   // validates every line against the built netlist.
@@ -459,8 +461,8 @@ int cmd_simulate(const args::Args& a) {
   popt.frequency = rep.fmax;
   popt.floorplan = &rep.floorplan;
   popt.sta = &rep.timing;
-  const power::PowerReport pw = power::analyze_power(
-      netlist::BoundDesign(d.nl, d.lib), ev.activity(), popt);
+  const power::PowerReport pw =
+      power::analyze_power(bound, ev.activity(), popt);
   Table t({"category", "power"});
   t.add_row({"combinational", units::format_si(pw.combinational, "W")});
   t.add_row({"sequential", units::format_si(pw.sequential, "W")});
@@ -486,8 +488,9 @@ int cmd_seu(const args::Args& a) {
   cfg.spare_rows = a.get_int("--spares", 0);
   lim::SramDesign d = lim::build_sram(cfg, process, cells);
   synth::synthesize(d.nl, d.lib, cells);
-  const evsim::TimingAnnotation ann =
-      evsim::annotate_delays(d.nl, d.lib, cells);
+  // One binding serves annotation and the batch kernel.
+  const netlist::BoundDesign bound(d.nl, d.lib);
+  const evsim::TimingAnnotation ann = evsim::annotate_delays(bound, cells);
 
   const std::uint64_t seed = a.get_u64("--seed", 1);
   const evsim::StimulusTrace trace =
@@ -495,6 +498,7 @@ int cmd_seu(const args::Args& a) {
 
   seu::SeuRig rig;
   rig.design = &d;
+  rig.bound = &bound;
   rig.cells = &cells;
   rig.ann = &ann;
   rig.trace = &trace;
