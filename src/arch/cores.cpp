@@ -120,8 +120,9 @@ class Tiling {
     }
     col_ptr.back() = nnz;
 
-    std::vector<int> row_idx(static_cast<std::size_t>(nnz));
-    std::vector<double> values(static_cast<std::size_t>(nnz));
+    // Left unwritten: every task's Tile::column proves it fills its slots.
+    spgemm::EntryArray<int> row_idx(static_cast<std::size_t>(nnz));
+    spgemm::EntryArray<double> values(static_cast<std::size_t>(nnz));
     std::vector<CoreStats> task_stats(tasks_.size());
     parallel_for(tasks_.size(), workers_, [&](std::size_t i) {
       const Tile tile{first.data() + i * width_, size_.data() + i * width_,

@@ -6,25 +6,9 @@
 
 namespace limsynth::seu {
 
-namespace {
-
-std::uint64_t burst_mask(int bit, int burst, int width) {
-  std::uint64_t mask = 0;
-  for (int j = bit; j < bit + burst && j < width; ++j)
-    mask |= std::uint64_t{1} << j;
-  return mask;
-}
-
-}  // namespace
-
-BatchKernel::BatchKernel(const SeuRig& rig) {
-  LIMS_CHECK_MSG(rig.bound != nullptr, "batch kernel needs the rig's binding");
-  program_ = std::make_unique<bitsim::BatchProgram>(*rig.bound, *rig.cells);
-}
-
 std::vector<InjectionResult> run_batch(
-    const SeuRig& rig, const BatchKernel& kernel, const GoldenRun& golden,
-    const std::vector<InjectionSpec>& specs) {
+    const SeuRig& rig, const bitsim::BatchProgram& program,
+    const GoldenRun& golden, const std::vector<InjectionSpec>& specs) {
   const lim::SramDesign& d = *rig.design;
   const std::size_t cycles = rig.trace->size();
   LIMS_CHECK_MSG(golden.rdata.size() == cycles,
@@ -40,12 +24,12 @@ std::vector<InjectionResult> run_batch(
                    "injection cycle " << s.cycle << " beyond the trace");
   }
 
-  bitsim::BatchSim sim(kernel.program());
+  bitsim::BatchSim sim(program);
   std::vector<std::shared_ptr<bitsim::BatchSramBank>> banks;
   banks.reserve(d.banks.size());
   for (const netlist::InstId b : d.banks) {
     auto m = std::make_shared<bitsim::BatchSramBank>(
-        kernel.program(), b, d.config.rows_per_bank(), d.config.code_bits(),
+        program, b, d.config.rows_per_bank(), d.config.code_bits(),
         d.config.ecc ? d.config.bits : 0);
     sim.attach(b, m);
     banks.push_back(std::move(m));

@@ -289,7 +289,7 @@ CampaignResult run_campaign(const SeuRig& rig, const tech::Process& process,
   res.records.assign(static_cast<std::size_t>(opt.samples), SampleRecord{});
 
   GoldenRun golden;
-  std::unique_ptr<BatchKernel> kernel;
+  std::unique_ptr<bitsim::BatchProgram> program;
 
   const auto n = static_cast<std::size_t>(opt.samples);
   std::vector<std::string> keys;
@@ -298,7 +298,7 @@ CampaignResult run_campaign(const SeuRig& rig, const tech::Process& process,
   std::vector<InjectionSpec> specs(n);
   std::vector<char> batched(n, 0);  // per slot; each unit writes its own
   const auto batchable = [&](std::size_t i) {
-    return kernel != nullptr && specs[i].site.kind != SiteKind::kSetPulse;
+    return program != nullptr && specs[i].site.kind != SiteKind::kSetPulse;
   };
 
   // Work units: macro-bit and flop samples group kBatchSamples to a
@@ -316,7 +316,7 @@ CampaignResult run_campaign(const SeuRig& rig, const tech::Process& process,
     // provenance only and never fingerprinted, so reports and journals
     // stay interoperable.
     try {
-      kernel = std::make_unique<BatchKernel>(rig);
+      program = std::make_unique<bitsim::BatchProgram>(*rig.bound, *rig.cells);
       res.kernel = "bitplane";
     } catch (const Error& e) {
       res.kernel = std::string("scalar (") + error_code_name(e.code()) + ")";
@@ -343,7 +343,7 @@ CampaignResult run_campaign(const SeuRig& rig, const tech::Process& process,
     bool via_batch = false;
     if (batchable(unit.front())) {
       try {
-        runs = run_batch(rig, *kernel, golden, unit_specs);
+        runs = run_batch(rig, *program, golden, unit_specs);
         via_batch = true;
       } catch (const Error&) {
         // The kernel bailed (engine error, watchdog expiry, golden

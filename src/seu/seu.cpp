@@ -13,13 +13,6 @@ namespace {
 using evsim::EventSimulator;
 using evsim::EvsimOptions;
 
-std::uint64_t burst_mask(int bit, int burst, int width) {
-  std::uint64_t mask = 0;
-  for (int j = bit; j < bit + burst && j < width; ++j)
-    mask |= std::uint64_t{1} << j;
-  return mask;
-}
-
 EvsimOptions golden_equivalent_options() {
   EvsimOptions opt;
   opt.period = 0.0;   // quiesce: deterministic settle-equivalent states
@@ -54,6 +47,13 @@ void inject(EventSimulator& ev, const lim::SramDesign& d,
 }
 
 }  // namespace
+
+std::uint64_t burst_mask(int bit, int burst, int width) {
+  std::uint64_t mask = 0;
+  for (int j = bit; j < bit + burst && j < width; ++j)
+    mask |= std::uint64_t{1} << j;
+  return mask;
+}
 
 const char* site_kind_name(SiteKind kind) {
   switch (kind) {

@@ -85,6 +85,11 @@ struct InjectionSpec {
   evsim::TimeFs set_lead_fs = 250'000;   // strike-to-edge distance
 };
 
+/// The bits a macro-array upset flips in a `width`-bit stored word:
+/// `burst` adjacent bits from `bit`, clipped at the word (0 when `bit` lies
+/// outside it). The scalar and bit-plane injectors both use it.
+std::uint64_t burst_mask(int bit, int burst, int width);
+
 /// Everything a run needs, shared immutably across campaign workers.
 /// Each run builds its own EventSimulator; design/bound/cells/ann/trace
 /// are only ever read.

@@ -1,12 +1,29 @@
 #include "spgemm/sparse.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <thread>
 #include <tuple>
 
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 
 namespace limsynth::spgemm {
+
+namespace {
+
+// Entries per approx_equal chunk: large enough that a chunk outweighs its
+// claim, small enough that a 10^7-entry product splits over every worker.
+constexpr std::size_t kCompareChunk = std::size_t{1} << 16;
+
+bool value_matches(double a, double b, double rel_tol) {
+  if (!std::isfinite(a) || !std::isfinite(b)) return a == b;
+  const double scale = std::max({std::fabs(a), std::fabs(b), 1.0});
+  return std::fabs(a - b) <= rel_tol * scale;
+}
+
+}  // namespace
 
 SparseMatrix::SparseMatrix(int rows, int cols) : rows_(rows), cols_(cols) {
   LIMS_CHECK(rows >= 0 && cols >= 0);
@@ -51,8 +68,8 @@ SparseMatrix SparseMatrix::from_triplets(
 
 SparseMatrix SparseMatrix::from_csc(int rows, int cols,
                                     std::vector<int> col_ptr,
-                                    std::vector<int> row_idx,
-                                    std::vector<double> values) {
+                                    EntryArray<int> row_idx,
+                                    EntryArray<double> values) {
   LIMS_CHECK(rows >= 0 && cols >= 0);
   LIMS_CHECK_MSG(col_ptr.size() == static_cast<std::size_t>(cols) + 1,
                  "col_ptr has " << col_ptr.size() << " offsets for " << cols
@@ -93,13 +110,26 @@ bool SparseMatrix::approx_equal(const SparseMatrix& other,
                                 double rel_tol) const {
   if (rows_ != other.rows_ || cols_ != other.cols_ || nnz() != other.nnz())
     return false;
-  if (col_ptr_ != other.col_ptr_ || row_idx_ != other.row_idx_) return false;
-  for (std::size_t i = 0; i < values_.size(); ++i) {
-    const double a = values_[i], b = other.values_[i];
-    const double scale = std::max({std::fabs(a), std::fabs(b), 1.0});
-    if (std::fabs(a - b) > rel_tol * scale) return false;
-  }
-  return true;
+  if (col_ptr_ != other.col_ptr_) return false;
+  // Rows and values in chunks; the first mismatch stops the claims.
+  const std::size_t n = row_idx_.size();
+  std::atomic<bool> equal{true};
+  parallel_for(
+      (n + kCompareChunk - 1) / kCompareChunk,
+      static_cast<int>(std::max(1U, std::thread::hardware_concurrency())),
+      [&](std::size_t chunk) {
+        const std::size_t lo = chunk * kCompareChunk;
+        const std::size_t hi = std::min(lo + kCompareChunk, n);
+        for (std::size_t i = lo; i < hi; ++i) {
+          if (row_idx_[i] != other.row_idx_[i] ||
+              !value_matches(values_[i], other.values_[i], rel_tol)) {
+            equal.store(false);
+            return false;
+          }
+        }
+        return true;
+      });
+  return equal.load();
 }
 
 std::int64_t SparseMatrix::flops_with(const SparseMatrix& other) const {

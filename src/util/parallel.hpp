@@ -1,6 +1,8 @@
 // The one worker pool: a fixed set of spawned threads claiming indices in
-// ascending order. The DSE sweep, the SEU campaign, `limsynth repro` and
-// the SpGEMM core models' block tasks (arch/cores.cpp) run on it.
+// ascending order. The DSE sweep, the SEU campaign, `limsynth repro`, the
+// SpGEMM core models' block tasks (arch/cores.cpp), the Gustavson
+// reference's column chunks (spgemm/reference.cpp) and
+// SparseMatrix::approx_equal's compare chunks run on it.
 #pragma once
 
 #include <algorithm>

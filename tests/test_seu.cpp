@@ -484,7 +484,7 @@ TEST(SeuBatch, RunBatchMatchesRunInjectionPerSample) {
     RigBundle b(config_a(ecc), 20);
     b.fill_then_read(20);
     const GoldenRun golden = run_golden(b.rig);
-    const BatchKernel kernel(b.rig);
+    const bitsim::BatchProgram program(*b.rig.bound, *b.rig.cells);
     // A mixed group: standing macro upsets (read and unread rows), a
     // double-bit burst, and every flop in the design.
     std::vector<InjectionSpec> specs;
@@ -506,7 +506,7 @@ TEST(SeuBatch, RunBatchMatchesRunInjectionPerSample) {
       specs.push_back(spec);
     }
     const std::vector<InjectionResult> batch =
-        run_batch(b.rig, kernel, golden, specs);
+        run_batch(b.rig, program, golden, specs);
     ASSERT_EQ(batch.size(), specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
       const InjectionResult scalar = run_injection(b.rig, golden, specs[i]);
@@ -524,18 +524,18 @@ TEST(SeuBatch, RunBatchMatchesRunInjectionPerSample) {
 TEST(SeuBatch, RejectsSetSpecsAndOversizedGroups) {
   RigBundle b(config_a(false), 12);
   const GoldenRun golden = run_golden(b.rig);
-  const BatchKernel kernel(b.rig);
+  const bitsim::BatchProgram program(*b.rig.bound, *b.rig.cells);
   InjectionSpec set_spec;
   set_spec.site.kind = SiteKind::kSetPulse;
   set_spec.site.net = b.ann.gates.front().out;
   set_spec.cycle = 4;
-  EXPECT_THROW(run_batch(b.rig, kernel, golden, {set_spec}), Error);
+  EXPECT_THROW(run_batch(b.rig, program, golden, {set_spec}), Error);
   InjectionSpec bit;
   bit.site.kind = SiteKind::kMacroBit;
   bit.cycle = 4;
   const std::vector<InjectionSpec> too_many(
       static_cast<std::size_t>(kBatchSamples) + 1, bit);
-  EXPECT_THROW(run_batch(b.rig, kernel, golden, too_many), Error);
+  EXPECT_THROW(run_batch(b.rig, program, golden, too_many), Error);
 }
 
 TEST(SeuBatch, BatchedCampaignReportIsByteIdenticalToScalar) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
 #include <set>
 #include <tuple>
 
@@ -72,8 +74,8 @@ SparseMatrix csc_of(int rows, int cols,
            std::tie(std::get<1>(y), std::get<0>(y));
   });
   std::vector<int> col_ptr(static_cast<std::size_t>(cols) + 1, 0);
-  std::vector<int> row_idx;
-  std::vector<double> values;
+  EntryArray<int> row_idx;
+  EntryArray<double> values;
   for (const auto& [r, c, v] : trips) {
     ++col_ptr[static_cast<std::size_t>(c) + 1];
     row_idx.push_back(r);
@@ -101,7 +103,7 @@ TEST(Sparse, FromCscEqualsFromTriplets) {
 
 // from_csc must reject the arrays with a typed invalid-config error.
 void expect_rejected(int rows, int cols, std::vector<int> col_ptr,
-                     std::vector<int> row_idx, std::vector<double> values) {
+                     EntryArray<int> row_idx, EntryArray<double> values) {
   try {
     (void)SparseMatrix::from_csc(rows, cols, std::move(col_ptr),
                                  std::move(row_idx), std::move(values));
@@ -143,6 +145,51 @@ TEST(Sparse, StatsAndEquality) {
   EXPECT_TRUE(m.approx_equal(other, 1e-3));
 }
 
+TEST(Sparse, ApproxEqualRejectsNonFiniteMismatch) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto one = [](double v) {
+    return SparseMatrix::from_triplets(1, 1, {{0, 0, v}});
+  };
+  EXPECT_FALSE(one(1.0).approx_equal(one(nan)));
+  EXPECT_FALSE(one(nan).approx_equal(one(1.0)));
+  EXPECT_FALSE(one(nan).approx_equal(one(nan)));
+  EXPECT_FALSE(one(1.0).approx_equal(one(inf)));
+  EXPECT_FALSE(one(inf).approx_equal(one(1.0)));
+  EXPECT_FALSE(one(inf).approx_equal(one(-inf)));
+  EXPECT_TRUE(one(inf).approx_equal(one(inf)));
+  EXPECT_TRUE(one(-inf).approx_equal(one(-inf)));
+  // No tolerance admits a non-finite mismatch.
+  EXPECT_FALSE(one(1.0).approx_equal(one(nan), inf));
+  EXPECT_FALSE(one(1.0).approx_equal(one(inf), inf));
+
+  // The same verdicts from the last of several compare chunks: an
+  // (n + 1) x 1 column holding rows 0..n-1.
+  const int n = 300'000;
+  const std::vector<int> col_ptr{0, n};
+  EntryArray<int> rows(static_cast<std::size_t>(n));
+  EntryArray<double> ones(static_cast<std::size_t>(n));
+  for (int r = 0; r < n; ++r) {
+    rows[static_cast<std::size_t>(r)] = r;
+    ones[static_cast<std::size_t>(r)] = 1.0;
+  }
+  const SparseMatrix base =
+      SparseMatrix::from_csc(n + 1, 1, col_ptr, rows, ones);
+  const auto with_last = [&](int row, double v) {
+    EntryArray<int> r = rows;
+    EntryArray<double> values = ones;
+    r.back() = row;
+    values.back() = v;
+    return SparseMatrix::from_csc(n + 1, 1, col_ptr, std::move(r),
+                                  std::move(values));
+  };
+  EXPECT_TRUE(base.approx_equal(with_last(n - 1, 1.0)));
+  EXPECT_FALSE(base.approx_equal(with_last(n - 1, nan)));
+  EXPECT_FALSE(base.approx_equal(with_last(n - 1, inf)));
+  EXPECT_FALSE(base.approx_equal(with_last(n - 1, 1.5)));
+  EXPECT_FALSE(base.approx_equal(with_last(n, 1.0)));
+}
+
 TEST(Reference, HandComputedProduct) {
   const SparseMatrix a = small_fixed();
   const SparseMatrix c = multiply_reference(a, a);
@@ -164,6 +211,121 @@ TEST(Reference, IdentityIsNeutral) {
   const SparseMatrix id = SparseMatrix::from_triplets(64, 64, std::move(eye));
   EXPECT_TRUE(multiply_reference(a, id).approx_equal(a));
   EXPECT_TRUE(multiply_reference(id, a).approx_equal(a));
+}
+
+// The one-thread column loop multiply_reference ran before it moved onto
+// the pool, kept as the specification of its two-pass version.
+struct Csc {
+  std::vector<int> col_ptr;
+  std::vector<int> row_idx;
+  std::vector<double> values;
+};
+
+Csc serial_gustavson(const SparseMatrix& a, const SparseMatrix& b) {
+  std::vector<double> acc(static_cast<std::size_t>(a.rows()), 0.0);
+  std::vector<int> marker(static_cast<std::size_t>(a.rows()), -1);
+  std::vector<int> col_ptr(static_cast<std::size_t>(b.cols()) + 1, 0);
+  std::vector<int> row_idx;
+  std::vector<double> values;
+  std::vector<int> touched;
+
+  for (int j = 0; j < b.cols(); ++j) {
+    touched.clear();
+    for (int kb = b.col_begin(j); kb < b.col_end(j); ++kb) {
+      const int k = b.row_index(kb);
+      const double bv = b.value(kb);
+      for (int ka = a.col_begin(k); ka < a.col_end(k); ++ka) {
+        const int i = a.row_index(ka);
+        if (marker[static_cast<std::size_t>(i)] != j) {
+          marker[static_cast<std::size_t>(i)] = j;
+          acc[static_cast<std::size_t>(i)] = 0.0;
+          touched.push_back(i);
+        }
+        acc[static_cast<std::size_t>(i)] += a.value(ka) * bv;
+      }
+    }
+    std::sort(touched.begin(), touched.end());
+    for (int i : touched) {
+      row_idx.push_back(i);
+      values.push_back(acc[static_cast<std::size_t>(i)]);
+    }
+    col_ptr[static_cast<std::size_t>(j) + 1] = static_cast<int>(row_idx.size());
+  }
+  return {std::move(col_ptr), std::move(row_idx), std::move(values)};
+}
+
+Csc arrays_of(const SparseMatrix& m) {
+  Csc out;
+  for (int j = 0; j <= m.cols(); ++j) out.col_ptr.push_back(m.col_begin(j));
+  for (int k = 0; k < m.nnz(); ++k) {
+    out.row_idx.push_back(m.row_index(k));
+    out.values.push_back(m.value(k));
+  }
+  return out;
+}
+
+template <class T>
+bool same_bytes(const std::vector<T>& x, const std::vector<T>& y) {
+  return x.size() == y.size() &&
+         (x.empty() ||
+          std::memcmp(x.data(), y.data(), x.size() * sizeof(T)) == 0);
+}
+
+// A random rows x cols matrix. Its values come from a small set, so sums
+// cancel to 0.0 and tiny products underflow to -0.0. Column `full` (if in
+// range) holds every row, column `empty` none.
+SparseMatrix random_operand(int rows, int cols, double density, int full,
+                            int empty, Rng& rng) {
+  static constexpr double kValues[] = {1.0,  -1.0, 2.0,    -0.5,
+                                       -0.0, 0.75, 1e-200, -1e-200};
+  std::vector<std::tuple<int, int, double>> trips;
+  for (int c = 0; c < cols; ++c)
+    for (int r = 0; r < rows; ++r)
+      if (c != empty && (c == full || rng.chance(density)))
+        trips.emplace_back(r, c, kValues[rng.below(std::size(kValues))]);
+  return SparseMatrix::from_triplets(rows, cols, std::move(trips));
+}
+
+TEST(Reference, MatchesSerialGustavsonBitForBit) {
+  Rng rng(30);
+  int zeros = 0, full_columns = 0, empty_columns = 0;
+  for (int t = 0; t < 240; ++t) {
+    const auto m = static_cast<int>(rng.range(t % 10 == 0 ? 0 : 1, 60));
+    const auto inner = static_cast<int>(rng.range(t % 15 == 0 ? 0 : 1, 60));
+    // Every fourth product has 0..15 columns: none, one, and fewer than
+    // the chunks of a pool of four or more workers.
+    const auto n =
+        static_cast<int>(t % 4 == 0 ? t / 4 % 16 : rng.range(16, 400));
+    const double density = rng.uniform(0.0, 0.3);
+    // Every third product's last column touches every row (a full B
+    // column selects A's full column 0); every other one's column 0 is
+    // empty.
+    const bool full = t % 3 == 0;
+    const SparseMatrix a =
+        random_operand(m, inner, density, full ? 0 : -1, -1, rng);
+    const SparseMatrix b = random_operand(inner, n, density / 4,
+                                          full ? n - 1 : -1,
+                                          t % 2 == 0 ? 0 : -1, rng);
+
+    const Csc want = serial_gustavson(a, b);
+    const SparseMatrix c = multiply_reference(a, b);
+    ASSERT_EQ(c.rows(), m);
+    ASSERT_EQ(c.cols(), n);
+    const Csc got = arrays_of(c);
+    ASSERT_TRUE(same_bytes(got.col_ptr, want.col_ptr)) << "product " << t;
+    ASSERT_TRUE(same_bytes(got.row_idx, want.row_idx)) << "product " << t;
+    ASSERT_TRUE(same_bytes(got.values, want.values)) << "product " << t;
+
+    for (const double v : got.values) zeros += v == 0.0;
+    for (int j = 0; j < n; ++j) {
+      full_columns += m > 0 && c.col_nnz(j) == m;
+      empty_columns += c.col_nnz(j) == 0;
+    }
+  }
+  // The shapes above reach the cases they were built for.
+  EXPECT_GT(zeros, 0);
+  EXPECT_GT(full_columns, 0);
+  EXPECT_GT(empty_columns, 0);
 }
 
 TEST(Reference, FlopsCountMatchesDefinition) {
